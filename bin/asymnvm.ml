@@ -19,6 +19,7 @@ module Obs_report = Asym_harness.Obs_report
 module Bench_json = Asym_harness.Bench_json
 module Breakdown = Asym_harness.Breakdown
 module Runner = Asym_harness.Runner
+module Catalogue = Asym_structs.Catalogue
 
 let lat = Latency.default
 
@@ -253,15 +254,20 @@ let check_json_arg =
 
 let check_cmd =
   let run structure ops seed stride no_tear point tear_point fuzz fuzz_clients fault_drop json =
-    let subjects =
-      if structure = "all" then Check.Subject.all
+    let reject fmt = Fmt.kstr (fun msg -> Fmt.epr "asymnvm: %s@." msg; exit 1) fmt in
+    if ops < 0 then reject "--ops must be >= 0 (got %d)" ops;
+    if stride < 1 then reject "--stride must be >= 1 (got %d)" stride;
+    if fuzz_clients < 1 then reject "--fuzz-clients must be >= 1 (got %d)" fuzz_clients;
+    if not (fault_drop >= 0. && fault_drop < 1.) then
+      reject "--fault-drop must be in [0, 1) (got %g)" fault_drop;
+    let kinds =
+      if structure = "all" then Catalogue.all
       else
-        match Check.Subject.find structure with
-        | Some s -> [ s ]
+        match Catalogue.of_name structure with
+        | Some k -> [ k ]
         | None ->
-            Fmt.epr "asymnvm: unknown structure %S (try one of: all %s)@." structure
-              (String.concat " " Check.Subject.names);
-            exit 1
+            reject "unknown structure %S (try one of: all %s)" structure
+              (String.concat " " (List.map Catalogue.id Catalogue.all))
     in
     let failed = ref false in
     let sweeps = ref [] and fuzzes = ref [] and points = ref [] in
@@ -269,17 +275,17 @@ let check_cmd =
     | Some point ->
         (* Reproducer mode: one schedule, one armed crash point. *)
         List.iter
-          (fun s ->
+          (fun k ->
             match
-              Check.Explorer.run_point ~drop:fault_drop s ~ops ~seed ~point ~tear:tear_point
+              Check.Explorer.run_point ~drop:fault_drop k ~ops ~seed ~point ~tear:tear_point
             with
             | None ->
-                Fmt.pr "%-10s point %d%s: OK@." s.Check.Subject.name point
+                Fmt.pr "%-10s point %d%s: OK@." (Catalogue.id k) point
                   (if tear_point then " (torn)" else "");
                 points :=
                   Obs.Json.Obj
                     [
-                      ("structure", Obs.Json.String s.Check.Subject.name);
+                      ("structure", Obs.Json.String (Catalogue.id k));
                       ("point", Obs.Json.Int point);
                       ("torn", Obs.Json.Bool tear_point);
                       ("pass", Obs.Json.Bool true);
@@ -287,7 +293,7 @@ let check_cmd =
                   :: !points
             | Some f ->
                 failed := true;
-                Fmt.pr "%-10s point %d (%s%s, %d ops completed): %s@." s.Check.Subject.name
+                Fmt.pr "%-10s point %d (%s%s, %d ops completed): %s@." (Catalogue.id k)
                   f.Check.Explorer.point f.Check.Explorer.site
                   (match f.Check.Explorer.torn with
                   | Some k -> Printf.sprintf ", torn keep=%d" k
@@ -296,35 +302,37 @@ let check_cmd =
                 points :=
                   Obs.Json.Obj
                     [
-                      ("structure", Obs.Json.String s.Check.Subject.name);
+                      ("structure", Obs.Json.String (Catalogue.id k));
                       ("point", Obs.Json.Int point);
                       ("torn", Obs.Json.Bool tear_point);
                       ("pass", Obs.Json.Bool false);
                       ("detail", Obs.Json.String f.Check.Explorer.detail);
                     ]
                   :: !points)
-          subjects
+          kinds
     | None ->
         List.iter
-          (fun s ->
-            let o = Check.Explorer.sweep ~stride ~tear:(not no_tear) ~drop:fault_drop s ~ops ~seed in
+          (fun k ->
+            let o =
+              Check.Explorer.sweep ~stride ~tear:(not no_tear) ~drop:fault_drop k ~ops ~seed
+            in
             Fmt.pr "%a@." Check.Explorer.pp_outcome o;
             List.iter
               (fun (site, n) -> Fmt.pr "    %6d  %s@." n site)
               (List.sort (fun (_, a) (_, b) -> compare b a) o.Check.Explorer.sites);
             sweeps := sweep_json o :: !sweeps;
             if o.Check.Explorer.failures <> [] then failed := true)
-          subjects;
+          kinds;
         match fuzz with
         | 0 -> ()
         | steps ->
             List.iter
-              (fun s ->
-                let o = Check.Fuzz.run ~clients:fuzz_clients ~drop:fault_drop s ~steps ~seed in
+              (fun k ->
+                let o = Check.Fuzz.run ~clients:fuzz_clients ~drop:fault_drop k ~steps ~seed in
                 Fmt.pr "%a@." Check.Fuzz.pp_outcome o;
                 fuzzes := fuzz_json o :: !fuzzes;
                 if o.Check.Fuzz.failures <> [] then failed := true)
-              subjects);
+              kinds);
     (match json with
     | None -> ()
     | Some path ->
@@ -353,7 +361,9 @@ let check_cmd =
     Arg.(
       value & opt string "all"
       & info [ "structure" ] ~docv:"NAME"
-          ~doc:"Structure to sweep ($(b,all) or one of the registered names).")
+          ~doc:
+            "Structure to sweep: $(b,all), a checker id ($(b,pbptree)) or a table label \
+             ($(b,BPT), $(b,mv-bpt)); case and dashes are ignored.")
   in
   let ops =
     Arg.(value & opt int 50 & info [ "ops" ] ~docv:"N" ~doc:"Operations in the schedule.")
@@ -465,11 +475,11 @@ let trace_cmd =
 let profile_cmd =
   let run structure config preload ops =
     let kind =
-      match Runner.ds_of_name structure with
+      match Catalogue.of_name structure with
       | Some k -> k
       | None ->
           Fmt.epr "asymnvm: unknown structure %S (one of: %s)@." structure
-            (String.concat " " (List.map Runner.ds_name Runner.all_ds));
+            (String.concat " " (List.map Catalogue.label Catalogue.all));
           exit 1
     in
     let cfg =
@@ -484,7 +494,7 @@ let profile_cmd =
     in
     (* The same drive `bench breakdown` uses: YCSB-A for key/value
        structures, pure pushes for the FIFO family. *)
-    let put_ratio = if Runner.is_fifo kind then 1.0 else 0.5 in
+    let put_ratio = if Catalogue.(family kind <> Map) then 1.0 else 0.5 in
     let cell =
       Breakdown.run_cell ~put_ratio
         ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
@@ -496,7 +506,9 @@ let profile_cmd =
   let structure =
     Arg.(
       value & opt string "bpt"
-      & info [ "structure" ] ~docv:"NAME" ~doc:"Structure to profile (e.g. bpt, mv-bpt).")
+      & info [ "structure" ] ~docv:"NAME" ~doc:
+            "Structure to profile: a table label ($(b,bpt), $(b,mv-bpt)) or a checker id \
+             ($(b,pbptree)); case and dashes are ignored.")
   in
   let config =
     Arg.(

@@ -33,9 +33,8 @@ let () =
   let crash_at = messages / 2 in
   let crashed = ref false in
 
-  let producer_step () =
-    if !produced >= messages then false
-    else begin
+  let producer_loop () =
+    while !produced < messages do
       (if !produced = crash_at && not !crashed then begin
          (* Die with a partially flushed batch, then recover. *)
          Fmt.pr "producer crashes after %d sends (virtual t=%a)...@." !produced Simtime.pp
@@ -51,24 +50,24 @@ let () =
          Fmt.pr "producer recovered; replayed %d in-flight sends@." (List.length ops)
        end);
       Q.enqueue pq (Bytes.of_string (Printf.sprintf "job-%05d" !produced));
-      incr produced;
-      true
-    end
+      incr produced
+    done
   in
-  let consumer_step () =
-    match Q.dequeue cq with
-    | Some msg ->
-        consumed := Bytes.to_string msg :: !consumed;
-        true
-    | None ->
-        (* Queue momentarily empty: keep polling while the producer runs. *)
-        Clock.advance cclock (Simtime.us 10);
-        !produced < messages || Q.size cq > 0
+  let consumer_loop () =
+    let again = ref true in
+    while !again do
+      match Q.dequeue cq with
+      | Some msg -> consumed := Bytes.to_string msg :: !consumed
+      | None ->
+          (* Queue momentarily empty: keep polling while the producer runs. *)
+          Clock.advance cclock (Simtime.us 10);
+          again := !produced < messages || Q.size cq > 0
+    done
   in
   Sched.run
     [
-      Sched.stepper ~clock:pclock ~step:producer_step;
-      Sched.stepper ~clock:cclock ~step:consumer_step;
+      Sched.client ~clock:pclock ~run:producer_loop;
+      Sched.client ~clock:cclock ~run:consumer_loop;
     ];
   (* Drain the tail. *)
   let rec drain () =

@@ -2,6 +2,26 @@ open Asym_sim
 open Asym_core
 module Crash = Asym_nvm.Crashpoint
 module Device = Asym_nvm.Device
+module Catalogue = Asym_structs.Catalogue
+module Cat = Catalogue.Make (Client)
+
+(* The checker's instances: unlocked, 64 hash buckets, and an explicit
+   skip-list generator, so re-runs of one schedule draw the same tower
+   heights for the census and every replay. *)
+let attach kind fe ~name =
+  Cat.attach kind ~opts:Asym_structs.Ds_intf.default_options ~nbuckets:64 ~skip_seed:77L fe
+    ~name
+
+let model0 kind = Model.empty (Catalogue.family kind)
+let schedule kind ~ops ~seed = Model.generate ~kind:(Model.kind (model0 kind)) ~ops ~seed
+
+let recover_instance kind fe ~name ops =
+  let inst = attach kind fe ~name in
+  let reg = Asym_structs.Registry.create () in
+  Asym_structs.Registry.register reg ~ds:inst.Catalogue.ds inst.Catalogue.replay;
+  Asym_structs.Registry.replay_all reg ops;
+  Client.flush fe;
+  inst
 
 type failure = {
   point : int;
@@ -41,20 +61,20 @@ let fresh_world ~seed ~drop () =
       (Some (Asym_rdma.Verbs.Fault.make ~drop_p:drop ~seed:(Int64.logxor seed 0xFA17L) ()));
   (bk, fe)
 
-let census (subject : Subject.t) ~seed ~drop opl =
+let census kind ~seed ~drop opl =
   Crash.reset ();
   Crash.set_census ();
   let _bk, fe = fresh_world ~seed ~drop () in
-  let inst = subject.Subject.attach fe in
-  List.iter inst.Subject.apply opl;
+  let inst = attach kind fe ~name:"chk" in
+  List.iter (Model.exec inst) opl;
   Client.flush fe;
   let n = Crash.boundaries () and sites = Crash.site_counts () in
   Crash.reset ();
   (n, sites)
 
-let prefix_models (subject : Subject.t) opl =
+let prefix_models kind opl =
   let n = List.length opl in
-  let prefixes = Array.make (n + 1) subject.Subject.model0 in
+  let prefixes = Array.make (n + 1) (model0 kind) in
   List.iteri (fun i op -> prefixes.(i + 1) <- Model.apply prefixes.(i) op) opl;
   prefixes
 
@@ -71,17 +91,17 @@ let tearable site = String.length site >= 10 && String.sub site 0 10 = "rdma.wri
 (* Replay the schedule with a crash armed at [point]; recover; validate.
    Returns [Ok ()], a failure, or [`Skip] when the tear variant was
    requested for a non-tearable (atomic) boundary. *)
-let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
+let run_armed kind ~opl ~prefixes ~seed ~drop ~point ~tear =
   Crash.reset ();
   Crash.arm point;
   let bk, fe = fresh_world ~seed ~drop () in
   let completed = ref 0 in
   let crashed =
     try
-      let inst = subject.Subject.attach fe in
+      let inst = attach kind fe ~name:"chk" in
       List.iter
         (fun op ->
-          inst.Subject.apply op;
+          Model.exec inst op;
           incr completed)
         opl;
       Client.flush fe;
@@ -113,17 +133,11 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
       let fail detail = `Fail { point; site; torn; completed = !completed; detail } in
       match
         Client.crash fe;
-        let ops = Client.recover fe in
-        let inst = subject.Subject.attach fe in
-        let reg = Asym_structs.Registry.create () in
-        inst.Subject.register reg;
-        Asym_structs.Registry.replay_all reg ops;
-        Client.flush fe;
-        inst
+        recover_instance kind fe ~name:"chk" (Client.recover fe)
       with
       | exception e -> fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
       | inst -> (
-          let dump = inst.Subject.dump () in
+          let dump = inst.Catalogue.dump () in
           let k = !completed in
           let matched =
             if dump = Model.dump prefixes.(k) then Some prefixes.(k)
@@ -143,14 +157,14 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
               (* Liveness probe: the recovered structure must still accept
                  and persist a fresh operation. *)
               let probe =
-                match subject.Subject.kind with
-                | `Map -> Model.Put (999_983L, Bytes.of_string "probe-after-recovery")
-                | `Seq -> Model.Push (Bytes.of_string "probe-after-recovery")
+                match Catalogue.family kind with
+                | Map -> Model.Put (999_983L, Bytes.of_string "probe-after-recovery")
+                | Lifo | Fifo -> Model.Push (Bytes.of_string "probe-after-recovery")
               in
               match
-                inst.Subject.apply probe;
+                Model.exec inst probe;
                 Client.flush fe;
-                inst.Subject.dump ()
+                inst.Catalogue.dump ()
               with
               | exception e ->
                   fail (Printf.sprintf "post-recovery probe raised %s" (Printexc.to_string e))
@@ -160,18 +174,18 @@ let run_armed (subject : Subject.t) ~opl ~prefixes ~seed ~drop ~point ~tear =
     end
   end
 
-let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) (subject : Subject.t) ~ops ~seed =
+let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) kind ~ops ~seed =
   if stride < 1 then invalid_arg "Explorer.sweep: stride must be >= 1";
   if drop < 0. || drop >= 1. then invalid_arg "Explorer.sweep: drop must be in [0, 1)";
-  let opl = Model.generate ~kind:subject.Subject.kind ~ops ~seed in
-  let boundaries, sites = census subject ~seed ~drop opl in
-  let prefixes = prefix_models subject opl in
+  let opl = schedule kind ~ops ~seed in
+  let boundaries, sites = census kind ~seed ~drop opl in
+  let prefixes = prefix_models kind opl in
   let points_run = ref 0 and failures = ref [] in
   let point = ref 1 in
   while !point <= boundaries do
     List.iter
       (fun tear ->
-        match run_armed subject ~opl ~prefixes ~seed ~drop ~point:!point ~tear with
+        match run_armed kind ~opl ~prefixes ~seed ~drop ~point:!point ~tear with
         | `Skip -> ()
         | `Ok -> incr points_run
         | `Fail f ->
@@ -181,7 +195,7 @@ let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) (subject : Subject.t) ~ops ~
     point := !point + stride
   done;
   {
-    structure = subject.Subject.name;
+    structure = Catalogue.id kind;
     ops;
     seed;
     drop;
@@ -191,10 +205,10 @@ let sweep ?(stride = 1) ?(tear = true) ?(drop = 0.) (subject : Subject.t) ~ops ~
     failures = List.rev !failures;
   }
 
-let run_point ?(drop = 0.) (subject : Subject.t) ~ops ~seed ~point ~tear =
-  let opl = Model.generate ~kind:subject.Subject.kind ~ops ~seed in
-  let prefixes = prefix_models subject opl in
-  match run_armed subject ~opl ~prefixes ~seed ~drop ~point ~tear with
+let run_point ?(drop = 0.) kind ~ops ~seed ~point ~tear =
+  let opl = schedule kind ~ops ~seed in
+  let prefixes = prefix_models kind opl in
+  match run_armed kind ~opl ~prefixes ~seed ~drop ~point ~tear with
   | `Ok | `Skip -> None
   | `Fail f -> Some f
 

@@ -41,8 +41,34 @@ type outcome = {
   failures : failure list;
 }
 
+val attach :
+  Asym_structs.Catalogue.kind ->
+  Asym_core.Client.t ->
+  name:string ->
+  Asym_structs.Catalogue.instance
+(** The checker's instance of a structure: no writer lock, 64 hash
+    buckets, skip-list towers seeded with 77 so every re-run of a
+    schedule builds the same structure. *)
+
+val model0 : Asym_structs.Catalogue.kind -> Model.t
+(** The empty reference model of the structure's family. *)
+
+val schedule : Asym_structs.Catalogue.kind -> ops:int -> seed:int64 -> Model.op list
+(** The deterministic schedule {!sweep} runs: {!Model.generate} for the
+    structure's family. *)
+
+val recover_instance :
+  Asym_structs.Catalogue.kind ->
+  Asym_core.Client.t ->
+  name:string ->
+  Asym_core.Log.Op_entry.t list ->
+  Asym_structs.Catalogue.instance
+(** Re-attach after [Client.recover], replay the uncovered operations it
+    returned through {!Asym_structs.Registry}, and flush. *)
+
 val sweep :
-  ?stride:int -> ?tear:bool -> ?drop:float -> Subject.t -> ops:int -> seed:int64 -> outcome
+  ?stride:int -> ?tear:bool -> ?drop:float -> Asym_structs.Catalogue.kind -> ops:int ->
+  seed:int64 -> outcome
 (** [stride] samples every [stride]-th crash point (default 1 =
     exhaustive); [tear] (default true) adds the torn variant of each
     tearable point. [drop] (default 0) runs the whole sweep under the
@@ -53,7 +79,13 @@ val sweep :
     permanent ones. *)
 
 val run_point :
-  ?drop:float -> Subject.t -> ops:int -> seed:int64 -> point:int -> tear:bool -> failure option
+  ?drop:float ->
+  Asym_structs.Catalogue.kind ->
+  ops:int ->
+  seed:int64 ->
+  point:int ->
+  tear:bool ->
+  failure option
 (** Re-run a single crash point (the reproducer entry point). *)
 
 val reproducer : outcome -> failure -> string

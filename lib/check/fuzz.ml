@@ -25,7 +25,7 @@ let capacity = 16 * 1024 * 1024
 let lease = Simtime.ms 50
 
 type world = {
-  subject : Subject.t;
+  kind : Asym_structs.Catalogue.kind;
   seed : int64;
   steps : int;
   rng : Asym_util.Rng.t;
@@ -33,7 +33,7 @@ type world = {
   mutable bk : Backend.t;
   mutable generation : int;  (* bumped on every promotion, names the successor *)
   fes : Client.t array;
-  insts : Subject.instance array;
+  insts : Asym_structs.Catalogue.instance array;
   models : Model.t array;
   opnum : int array;  (* per-client op counter, tags generated values *)
   drop : float;
@@ -47,7 +47,7 @@ let inst_name c = Printf.sprintf "chk%d" c
 let fail w ~step ~event detail =
   w.failures <-
     Printf.sprintf "step %d [%s] %s (reproduce: asymnvm check --structure %s --fuzz %d --seed %Ld)"
-      step event detail w.subject.Subject.name w.steps w.seed
+      step event detail (Asym_structs.Catalogue.id w.kind) w.steps w.seed
     :: w.failures
 
 (* Install the transient-fault model on a freshly (re)connected client.
@@ -62,7 +62,7 @@ let install_fault w c =
             ~seed:(Int64.add (Int64.logxor w.seed 0xFA17L) (Int64.of_int c))
             ()))
 
-let make_world (subject : Subject.t) ~clients ~steps ~seed ~drop =
+let make_world kind ~clients ~steps ~seed ~drop =
   let lat = Latency.default in
   let bk =
     Backend.create ~name:"fuzz-bk" ~max_sessions:(clients + 2) ~memlog_cap:(512 * 1024)
@@ -76,12 +76,12 @@ let make_world (subject : Subject.t) ~clients ~steps ~seed ~drop =
         let name = Printf.sprintf "fuzz-fe%d" c in
         Client.connect ~name (Client.rcb ~batch_size:4 ()) bk ~clock:(Clock.create ~name ()))
   in
-  let insts = Array.mapi (fun c fe -> subject.Subject.attach ~name:(inst_name c) fe) fes in
+  let insts = Array.mapi (fun c fe -> Explorer.attach kind fe ~name:(inst_name c)) fes in
   Keepalive.register ka "backend" ~now:Simtime.zero;
   Array.iteri (fun c _ -> Keepalive.register ka (Printf.sprintf "fe%d" c) ~now:Simtime.zero) fes;
   let w =
     {
-      subject;
+      kind;
       seed;
       steps;
       rng = Asym_util.Rng.create ~seed;
@@ -90,7 +90,7 @@ let make_world (subject : Subject.t) ~clients ~steps ~seed ~drop =
       generation = 0;
       fes;
       insts;
-      models = Array.make clients subject.Subject.model0;
+      models = Array.make clients (Explorer.model0 kind);
       opnum = Array.make clients 0;
       drop;
       grey_periods = 0;
@@ -104,27 +104,24 @@ let make_world (subject : Subject.t) ~clients ~steps ~seed ~drop =
    re-sync the session, re-attach the instance, replay uncovered ops. *)
 let recover_client w c =
   let fe = w.fes.(c) in
-  let ops = Client.recover fe in
-  w.insts.(c) <- w.subject.Subject.attach ~name:(inst_name c) fe;
-  let reg = Asym_structs.Registry.create () in
-  w.insts.(c).Subject.register reg;
-  Asym_structs.Registry.replay_all reg ops;
-  Client.flush fe
+  w.insts.(c) <- Explorer.recover_instance w.kind fe ~name:(inst_name c) (Client.recover fe)
 
 let validate w ~step ~event c =
   let fe = w.fes.(c) in
   Client.flush fe;
   Client.invalidate_cache fe;
-  let dump = w.insts.(c).Subject.dump () and want = Model.dump w.models.(c) in
+  let dump = w.insts.(c).Asym_structs.Catalogue.dump () and want = Model.dump w.models.(c) in
   if dump <> want then
     fail w ~step ~event
       (Printf.sprintf "client %d: dump has %d entries, model has %d after %d ops" c
          (List.length dump) (List.length want) w.opnum.(c))
 
+let model_kind w = Model.kind (Explorer.model0 w.kind)
+
 let step_op w ~step:_ =
   let c = Asym_util.Rng.int w.rng (Array.length w.fes) in
-  let op = Model.random_op w.rng ~kind:w.subject.Subject.kind ~i:w.opnum.(c) in
-  w.insts.(c).Subject.apply op;
+  let op = Model.random_op w.rng ~kind:(model_kind w) ~i:w.opnum.(c) in
+  Model.exec w.insts.(c) op;
   w.models.(c) <- Model.apply w.models.(c) op;
   w.opnum.(c) <- w.opnum.(c) + 1
 
@@ -137,7 +134,7 @@ let step_op w ~step:_ =
 let step_cosim_burst w ~step:_ =
   let ops =
     Array.mapi
-      (fun c _ -> Model.random_op w.rng ~kind:w.subject.Subject.kind ~i:w.opnum.(c))
+      (fun c _ -> Model.random_op w.rng ~kind:(model_kind w) ~i:w.opnum.(c))
       w.fes
   in
   let burst =
@@ -145,7 +142,7 @@ let step_cosim_burst w ~step:_ =
       (Array.mapi
          (fun c fe ->
            Sched.client ~clock:(Client.clock fe) ~run:(fun () ->
-               w.insts.(c).Subject.apply ops.(c)))
+               Model.exec w.insts.(c) ops.(c)))
          w.fes)
   in
   Sched.run burst;
@@ -246,10 +243,10 @@ let step_grey w ~step:_ =
   Asym_rdma.Verbs.arm_grey (Client.connection w.fes.(c)) ~from_ ~until:(from_ + dur);
   w.grey_periods <- w.grey_periods + 1
 
-let run ?(clients = 2) ?(drop = 0.) (subject : Subject.t) ~steps ~seed:sd =
+let run ?(clients = 2) ?(drop = 0.) kind ~steps ~seed:sd =
   if clients < 1 then invalid_arg "Fuzz.run: clients must be >= 1";
   if drop < 0. || drop >= 1. then invalid_arg "Fuzz.run: drop must be in [0, 1)";
-  let w = make_world subject ~clients ~steps ~seed:sd ~drop in
+  let w = make_world kind ~clients ~steps ~seed:sd ~drop in
   let ops_applied = ref 0
   and validations = ref 0
   and client_crashes = ref 0
@@ -294,7 +291,7 @@ let run ?(clients = 2) ?(drop = 0.) (subject : Subject.t) ~steps ~seed:sd =
   done;
   let sum f = Array.fold_left (fun n fe -> n + f fe) 0 w.fes in
   {
-    structure = subject.Subject.name;
+    structure = Asym_structs.Catalogue.id kind;
     clients;
     steps;
     seed = sd;

@@ -2,8 +2,8 @@
 
     Where {!Explorer} enumerates every crash point of one deterministic
     schedule, the fuzzer explores the cluster-level state space: several
-    front-end clients — each owning its own instance of the subject
-    structure on one shared back-end — interleave random operations with
+    front-end clients — each owning its own instance of the structure
+    on one shared back-end — interleave random operations with
     client crashes (+ recovery and op replay), transient back-end
     restarts, mirror crashes, and keepAlive-driven mirror promotion
     (§7.2 Case 4) via {!Asym_cluster.Failover}.
@@ -33,9 +33,11 @@ type outcome = {
   failures : string list;
 }
 
-val run : ?clients:int -> ?drop:float -> Subject.t -> steps:int -> seed:int64 -> outcome
+val run :
+  ?clients:int -> ?drop:float -> Asym_structs.Catalogue.kind -> steps:int -> seed:int64 ->
+  outcome
 (** [clients] defaults to 2. Each client owns an independently named
-    instance of the subject, so every structure — including the
+    instance of the structure, so every structure — including the
     single-writer multi-version ones — fuzzes under multi-client load.
 
     [drop] (default 0) turns on the {!Asym_rdma.Verbs.Fault} transient

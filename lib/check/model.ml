@@ -15,9 +15,11 @@ type t =
   | Lifo of bytes list  (* top first *)
   | Fifo of bytes list  (* head first *)
 
-let empty_map = Map []
-let empty_lifo = Lifo []
-let empty_fifo = Fifo []
+let empty : Asym_structs.Catalogue.family -> t = function
+  | Asym_structs.Catalogue.Map -> Map []
+  | Lifo -> Lifo []
+  | Fifo -> Fifo []
+
 let kind = function Map _ -> `Map | Lifo _ | Fifo _ -> `Seq
 
 let rec put_sorted k v = function
@@ -36,6 +38,12 @@ let apply t op =
   | Fifo l, Pop -> Fifo (match l with [] -> [] | _ :: tl -> tl)
   | _ -> Fmt.invalid_arg "Model.apply: %a on a %s model" pp_op op
            (match t with Map _ -> "map" | _ -> "sequence")
+
+let exec (i : Asym_structs.Catalogue.instance) = function
+  | Put (k, v) -> i.put k v
+  | Delete k -> ignore (i.del k)
+  | Push v -> i.push v
+  | Pop -> ignore (i.pop ())
 
 let dump = function
   | Map l -> l

@@ -19,15 +19,17 @@ val pp_op : Format.formatter -> op -> unit
 type t
 (** An immutable model state. *)
 
-val empty_map : t
-val empty_lifo : t
-val empty_fifo : t
+val empty : Asym_structs.Catalogue.family -> t
 
 val kind : t -> [ `Map | `Seq ]
 
 val apply : t -> op -> t
 (** Raises [Invalid_argument] on an op of the wrong kind (map op on a
     sequence or vice versa). *)
+
+val exec : Asym_structs.Catalogue.instance -> op -> unit
+(** Apply [op] to a live structure instance. An op of the wrong family
+    raises [Invalid_argument]. *)
 
 val dump : t -> (int64 * bytes) list
 (** Canonical observable state: maps as key-sorted bindings, sequences as

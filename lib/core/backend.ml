@@ -383,51 +383,41 @@ let oplog_ring t ~session = Layout.oplog_region t.layout ~session
 
 (* -- op-log scanning (recovery) ----------------------------------------- *)
 
+(* Scan the live records from the GC tail. Live records carry strictly
+   increasing opnums above the covered OPN. Op-log GC only moves the tail
+   and never zeroes consumed bytes, so once the ring has wrapped the bytes
+   past the head still hold the previous lap's records: the first record
+   whose opnum does not exceed its predecessor's (or the covered OPN) is
+   such a stale record, and the scan stops there. Returns the records, the
+   head, and the next fresh opnum. *)
 let scan_oplog t s =
   let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
   let ring = Device.read t.dev ~addr:ring_base ~len:cap in
   let records = ref [] in
   let pos = ref s.oplog_tail in
   let head = ref s.oplog_tail in
-  let next_opnum = ref 1L in
+  let last = ref s.opn_covered in
   let continue_ = ref true in
   while !continue_ do
     match Log.Op_entry.scan ring ~pos:!pos with
-    | Log.Op_entry.Record (op, consumed) ->
+    | Log.Op_entry.Record (op, consumed) when Int64.compare op.Log.Op_entry.opnum !last > 0 ->
         records := (op, !pos) :: !records;
-        if Int64.compare op.Log.Op_entry.opnum !next_opnum >= 0 then
-          next_opnum := Int64.add op.Log.Op_entry.opnum 1L;
+        last := op.Log.Op_entry.opnum;
         pos := !pos + consumed;
         head := !pos
-    | Log.Op_entry.Wrap -> pos := 0
-    | Log.Op_entry.Empty | Log.Op_entry.Torn -> continue_ := false
+    | Log.Op_entry.Wrap when !pos > 0 -> pos := 0
+    | Log.Op_entry.Record _ | Log.Op_entry.Wrap | Log.Op_entry.Empty | Log.Op_entry.Torn ->
+        continue_ := false
   done;
-  (List.rev !records, !head, !next_opnum)
+  (List.rev !records, !head, Int64.succ !last)
 
 let unreplayed_ops t ~session =
   check_alive t;
   let s = get_session t session in
   let records, _, _ = scan_oplog t s in
-  let ops =
+  List.filter_map
+    (fun (op, _) -> if internal_optype op.Log.Op_entry.optype then None else Some op)
     records
-    |> List.filter_map (fun (op, _) ->
-           if
-             (not (internal_optype op.Log.Op_entry.optype))
-             && Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0
-           then Some op
-           else None)
-  in
-  (* Recovery re-executes these: a duplicated opnum here would double-apply
-     an operation, so the stream must be strictly increasing. (A retried
-     op-log append lands at the same ring offset — positional idempotence —
-     which is exactly what this assertion pins down.) *)
-  ignore
-    (List.fold_left
-       (fun last op ->
-         assert (Int64.compare op.Log.Op_entry.opnum last > 0);
-         op.Log.Op_entry.opnum)
-       s.opn_covered ops);
-  ops
 
 let abandoned_locks t ~session =
   check_alive t;
@@ -487,18 +477,10 @@ let restart t =
         s.memlog_head <- s.lpn;
         let records, op_head, next_opnum = scan_oplog t s in
         s.oplog_head <- op_head;
-        (* The ring scan under-counts when GC already reclaimed every
-           covered record: a fresh opnum must still exceed [opn_covered],
-           or ops logged after this restart are indistinguishable from
-           covered ones and recovery silently drops them. *)
-        s.next_opnum <-
-          (let floor_ = Int64.add s.opn_covered 1L in
-           if Int64.compare next_opnum floor_ < 0 then floor_ else next_opnum);
+        s.next_opnum <- next_opnum;
         Queue.clear s.op_index;
         List.iter
-          (fun (op, off) ->
-            if Int64.compare op.Log.Op_entry.opnum s.opn_covered > 0 then
-              Queue.push (op.Log.Op_entry.opnum, off) s.op_index)
+          (fun (op, off) -> Queue.push (op.Log.Op_entry.opnum, off) s.op_index)
           records;
         statuses :=
           (sid, if torn then Session_torn_tail else Session_consistent) :: !statuses

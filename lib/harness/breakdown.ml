@@ -5,9 +5,10 @@
 
 module Obs = Asym_obs
 open Asym_sim
+module Catalogue = Asym_structs.Catalogue
 
 type cell = {
-  kind : Runner.ds_kind;
+  kind : Catalogue.kind;
   config : string;
   res : Runner.result;
   attr : (Obs.Attr.cause * int) list;  (** ns per cause over the measured window *)
@@ -96,7 +97,7 @@ let table cells =
       let total = attr_total cl in
       Report.add_row t
         ([
-           Runner.ds_name cl.kind;
+           Catalogue.label cl.kind;
            cl.config;
            Report.kops cl.res.Runner.kops;
            Printf.sprintf "%.2f" (per_op cl total /. 1e3);
@@ -133,7 +134,7 @@ let resource_table cells =
         (fun (r, q, s) ->
           Report.add_row t
             [
-              Runner.ds_name cl.kind;
+              Catalogue.label cl.kind;
               cl.config;
               r;
               Printf.sprintf "%.1f" (float_of_int q /. 1e3);
@@ -160,11 +161,11 @@ let checks cells =
     | None -> check "conservation" true "per-cause ns sum to elapsed virtual time in every cell"
     | Some cl ->
         check "conservation" false
-          (Printf.sprintf "%s/%s: %d ns attributed vs %d elapsed" (Runner.ds_name cl.kind)
+          (Printf.sprintf "%s/%s: %d ns attributed vs %d elapsed" (Catalogue.label cl.kind)
              cl.config (attr_total cl) cl.res.Runner.elapsed)
   in
   let naive_rtt =
-    match find cells Runner.Bpt "Naive" with
+    match find cells Catalogue.Bpt "Naive" with
     | Some cl ->
         let rtt = attr_ns cl Obs.Attr.Rdma_rtt in
         let dominant =
@@ -179,7 +180,7 @@ let checks cells =
     (* The batched multi-version B+ tree is the paper's batching winner
        (§6.2): the op log amortizes across the vput batch, so the
        majority of its time lands on local compute + media. *)
-    match find cells Runner.Mv_bpt "RCB" with
+    match find cells Catalogue.Mv_bpt "RCB" with
     | Some cl ->
         let local = attr_ns cl Obs.Attr.Local_compute + attr_ns cl Obs.Attr.Nvm_media in
         let rtt = attr_ns cl Obs.Attr.Rdma_rtt in
@@ -192,7 +193,7 @@ let checks cells =
     (* Plain BPT keeps ~1 round trip per op under RCB (the signaled
        op-log append and below-threshold leaf reads), but the absolute
        RTT cost per op must still collapse several-fold vs Naive. *)
-    match (find cells Runner.Bpt "Naive", find cells Runner.Bpt "RCB") with
+    match (find cells Catalogue.Bpt "Naive", find cells Catalogue.Bpt "RCB") with
     | Some n, Some r ->
         let per cl = per_op cl (attr_ns cl Obs.Attr.Rdma_rtt) in
         check "bpt_rtt_collapse"
@@ -215,20 +216,20 @@ let default_cells ?(preload = 4000) ?(ops = 4000) () =
      trips into local time, writes are where the log batching does. FIFO
      structures keep the 100%-push drive (they have no read mix). *)
   let cell ?shared cfg kind =
-    let put_ratio = if Runner.is_fifo kind then 1.0 else 0.5 in
+    let put_ratio = if Catalogue.(family kind <> Map) then 1.0 else 0.5 in
     run_cell ?shared ~put_ratio ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
       ~rig:(Runner.make_rig lat) ~cfg ~preload ~ops kind
   in
   let open Asym_core in
   [
-    cell (Client.naive ()) Runner.Bpt;
-    cell (Client.r ()) Runner.Bpt;
-    cell (Client.rc ()) Runner.Bpt;
-    cell (Client.rcb ()) Runner.Bpt;
-    cell (Client.naive ()) Runner.Hash_table;
-    cell (Client.rc ()) Runner.Hash_table;
-    cell (Client.naive ()) Runner.Queue;
-    cell fifo_rcb Runner.Queue;
-    cell (Client.naive ()) Runner.Mv_bpt;
-    cell (Client.rcb ()) Runner.Mv_bpt;
+    cell (Client.naive ()) Catalogue.Bpt;
+    cell (Client.r ()) Catalogue.Bpt;
+    cell (Client.rc ()) Catalogue.Bpt;
+    cell (Client.rcb ()) Catalogue.Bpt;
+    cell (Client.naive ()) Catalogue.Hash_table;
+    cell (Client.rc ()) Catalogue.Hash_table;
+    cell (Client.naive ()) Catalogue.Queue;
+    cell fifo_rcb Catalogue.Queue;
+    cell (Client.naive ()) Catalogue.Mv_bpt;
+    cell (Client.rcb ()) Catalogue.Mv_bpt;
   ]

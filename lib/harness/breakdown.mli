@@ -5,7 +5,7 @@
     `asymnvm profile`. *)
 
 type cell = {
-  kind : Runner.ds_kind;
+  kind : Asym_structs.Catalogue.kind;
   config : string;
   res : Runner.result;
   attr : (Asym_obs.Attr.cause * int) list;  (** ns per cause, measured window *)
@@ -16,7 +16,7 @@ type cell = {
 val run_cell :
   ?shared:bool -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution ->
   rig:Runner.rig -> cfg:Asym_core.Client.config -> preload:int -> ops:int ->
-  Runner.ds_kind -> cell
+  Asym_structs.Catalogue.kind -> cell
 
 val attr_ns : cell -> Asym_obs.Attr.cause -> int
 val attr_total : cell -> int

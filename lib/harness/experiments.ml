@@ -5,6 +5,7 @@
 
 open Asym_sim
 open Asym_core
+module Catalogue = Asym_structs.Catalogue
 
 type scale = {
   preload : int;
@@ -25,6 +26,7 @@ module Tatp_c = Asym_apps.Tatp.Make (Client)
 module Tatp_l = Asym_apps.Tatp.Make (Asym_baseline.Local_store)
 module Bank_c = Asym_apps.Smallbank.Make (Client)
 module Bank_l = Asym_apps.Smallbank.Make (Asym_baseline.Local_store)
+module Bst_c = Asym_structs.Pbst.Make (Client)
 
 (* ------------------------------------------------------------------ *)
 (* Application runners                                                  *)
@@ -248,7 +250,7 @@ let table3 sc =
     (fun kind ->
       Report.add_row t
         [
-          Runner.ds_name kind;
+          Catalogue.label kind;
           cell_kops (sym Asym_baseline.Local_store.symmetric kind);
           cell_kops (sym (Asym_baseline.Local_store.symmetric_b ()) kind);
           cell_kops (asym (Client.naive ()) kind);
@@ -256,16 +258,16 @@ let table3 sc =
           dash;
           cell_kops (asym (fifo_rcb ()) kind);
         ])
-    [ Runner.Queue; Runner.Stack ];
+    Catalogue.[ Queue; Stack ];
   (* HashTable *)
   Report.add_row t
     [
       "HashTable";
-      cell_kops (sym Asym_baseline.Local_store.symmetric Runner.Hash_table);
+      cell_kops (sym Asym_baseline.Local_store.symmetric Catalogue.Hash_table);
       dash;
-      cell_kops (asym (Client.naive ()) Runner.Hash_table);
-      cell_kops (asym (Client.r ()) Runner.Hash_table);
-      cell_kops (asym (Client.rc ()) Runner.Hash_table);
+      cell_kops (asym (Client.naive ()) Catalogue.Hash_table);
+      cell_kops (asym (Client.r ()) Catalogue.Hash_table);
+      cell_kops (asym (Client.rc ()) Catalogue.Hash_table);
       dash;
     ];
   (* Ordered structures *)
@@ -273,7 +275,7 @@ let table3 sc =
     (fun kind ->
       Report.add_row t
         [
-          Runner.ds_name kind;
+          Catalogue.label kind;
           cell_kops (sym Asym_baseline.Local_store.symmetric kind);
           cell_kops (sym (Asym_baseline.Local_store.symmetric_b ()) kind);
           cell_kops (asym (Client.naive ()) kind);
@@ -281,7 +283,7 @@ let table3 sc =
           cell_kops (asym (Client.rc ()) kind);
           cell_kops (asym (Client.rcb ()) kind);
         ])
-    [ Runner.Skip_list; Runner.Bst; Runner.Bpt; Runner.Mv_bst; Runner.Mv_bpt ];
+    Catalogue.[ Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -309,7 +311,7 @@ let table1 sc =
     let r = Runner.run_asym ~rig:(rig ()) ~cfg ~kind ~preload:sc.preload ~ops:sc.ops () in
     Report.add_row t
       [
-        Runner.ds_name kind;
+        Catalogue.label kind;
         Client.config_name cfg;
         cell_kops r.Runner.kops;
         Printf.sprintf "%.2f" (per_op r.Runner.verbs r);
@@ -320,12 +322,12 @@ let table1 sc =
   List.iter
     (fun kind ->
       let cfgs =
-        if Runner.is_fifo kind then [ Client.naive (); Client.r (); fifo_rcb () ]
-        else if kind = Runner.Hash_table then [ Client.naive (); Client.r (); Client.rc () ]
+        if Catalogue.(family kind <> Map) then [ Client.naive (); Client.r (); fifo_rcb () ]
+        else if kind = Catalogue.Hash_table then [ Client.naive (); Client.r (); Client.rc () ]
         else [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ]
       in
       List.iter (cell kind) cfgs)
-    Runner.all_ds;
+    Catalogue.all;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -356,22 +358,22 @@ let fig6 sc =
     if b = 1 then plain kind 1
     else begin
       let r = rig () in
-      let nm = Runner.ds_name kind in
+      let nm = Catalogue.label kind in
       let pre = Runner.fresh_client ~name:"pre" r (Client.rcb ~batch_size:256 ()) in
       Runner.preload_instance
-        (Runner.client_instance kind pre ~name:nm)
+        (Runner.attach kind pre ~name:nm)
         ~fifo:false ~n:sc.preload ~value_size:64;
       let cfg = Runner.with_cache_pct r (Client.rcb ~batch_size:2 ()) 0.10 in
       let c = Runner.fresh_client ~name:nm r cfg in
-      let inst = Runner.client_instance kind c ~name:nm in
-      let vput = match inst.Runner.vput with Some f -> f | None -> assert false in
+      let inst = Runner.attach kind c ~name:nm in
+      let vput = match inst.Catalogue.vput with Some f -> f | None -> assert false in
       let rng = Asym_util.Rng.create ~seed:11L in
       let chunks = sc.ops / b in
       let clock = Client.clock c in
       (* Warm the cache and the adaptive level threshold. *)
       for _ = 1 to sc.ops / 2 do
         let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 4)) in
-        inst.Runner.put k (Runner.value_of k)
+        inst.Catalogue.put k (Runner.value_of k)
       done;
       Client.flush c;
       let t0 = Clock.now clock in
@@ -390,11 +392,11 @@ let fig6 sc =
   in
   let tatp b = run_tatp_asym ~cfg:(batched_cfg b) ~sc () in
   let row name f = Report.add_row t (name :: List.map (fun b -> Report.kops (f b)) batch_sizes) in
-  row "MV-BST" (plain Runner.Mv_bst);
-  row "MV-BPT" (plain Runner.Mv_bpt);
-  row "SkipList" (plain Runner.Skip_list);
-  row "BST (vector)" (vector Runner.Bst);
-  row "BPT (vector)" (vector Runner.Bpt);
+  row "MV-BST" (plain Catalogue.Mv_bst);
+  row "MV-BPT" (plain Catalogue.Mv_bpt);
+  row "SkipList" (plain Catalogue.Skip_list);
+  row "BST (vector)" (vector Catalogue.Bst);
+  row "BPT (vector)" (vector Catalogue.Bpt);
   row "TATP" tatp;
   t
 
@@ -412,7 +414,7 @@ let fig7 sc =
   in
   let ds kind =
     Report.add_row t
-      (Runner.ds_name kind
+      (Catalogue.label kind
       :: List.map
            (fun pct ->
              Report.kops
@@ -421,7 +423,7 @@ let fig7 sc =
                  .Runner.kops)
            cache_pcts)
   in
-  List.iter ds [ Runner.Bpt; Runner.Bst; Runner.Skip_list; Runner.Mv_bpt; Runner.Mv_bst ];
+  List.iter ds Catalogue.[ Bpt; Bst; Skip_list; Mv_bpt; Mv_bst ];
   Report.add_row t
     ("TATP"
     :: List.map
@@ -433,7 +435,7 @@ let fig7 sc =
          (fun pct ->
            Report.kops
              (Runner.run_asym ~cache_pct:pct ~rig:(rig ()) ~cfg:(Client.rc ())
-                ~kind:Runner.Hash_table ~preload:sc.preload ~ops:sc.ops ())
+                ~kind:Catalogue.Hash_table ~preload:sc.preload ~ops:sc.ops ())
                .Runner.kops)
          cache_pcts);
   Report.add_row t
@@ -463,7 +465,7 @@ let fig12 sc =
   in
   let ds kind =
     Report.add_row t
-      (Runner.ds_name kind
+      (Catalogue.label kind
       :: List.map
            (fun (_, dist) ->
              Report.kops
@@ -472,7 +474,7 @@ let fig12 sc =
                  .Runner.kops)
            dists)
   in
-  List.iter ds [ Runner.Bpt; Runner.Bst; Runner.Skip_list; Runner.Mv_bpt; Runner.Mv_bst; Runner.Hash_table ];
+  List.iter ds Catalogue.[ Bpt; Bst; Skip_list; Mv_bpt; Mv_bst; Hash_table ];
   Report.add_row t
     ("SmallBank"
     :: List.map
@@ -505,7 +507,7 @@ let fig13 sc =
   in
   let run kind cfg ratio =
     (Runner.run_asym_trace ~rig:(rig ()) ~cfg ~kind
-       ~preload:(if Runner.is_fifo kind then max sc.preload sc.ops else sc.preload)
+       ~preload:(if Catalogue.(family kind <> Map) then max sc.preload sc.ops else sc.preload)
        ~ops:sc.ops ~put_ratio:ratio ())
       .Runner.kops
   in
@@ -514,7 +516,7 @@ let fig13 sc =
       (fun (label, ratio) ->
         Report.add_row t
           [
-            Runner.ds_name kind;
+            Catalogue.label kind;
             label;
             Report.kops (run kind (Client.naive ()) ratio);
             Report.kops (run kind (Client.r ()) ratio);
@@ -527,7 +529,7 @@ let fig13 sc =
       (fun (label, ratio) ->
         Report.add_row t
           [
-            Runner.ds_name kind;
+            Catalogue.label kind;
             label;
             Report.kops (run kind (Client.naive ()) ratio);
             Report.kops (run kind (Client.r ()) ratio);
@@ -536,8 +538,8 @@ let fig13 sc =
           ])
       fifo_mixes
   in
-  List.iter kv [ Runner.Bst; Runner.Mv_bst; Runner.Bpt; Runner.Mv_bpt; Runner.Skip_list; Runner.Hash_table ];
-  List.iter fifo [ Runner.Queue; Runner.Stack ];
+  List.iter kv Catalogue.[ Bst; Mv_bst; Bpt; Mv_bpt; Skip_list; Hash_table ];
+  List.iter fifo Catalogue.[ Queue; Stack ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -563,14 +565,14 @@ let latency sc =
           in
           Report.add_row t
             [
-              Runner.ds_name kind;
+              Catalogue.label kind;
               Client.config_name cfg;
               Printf.sprintf "%.2f" r.Runner.lat_mean_us;
               Printf.sprintf "%.2f" r.Runner.lat_p50_us;
               Printf.sprintf "%.2f" r.Runner.lat_p99_us;
             ])
         [ Client.naive (); Client.r (); Client.rc (); Client.rcb () ])
-    [ Runner.Hash_table; Runner.Bpt; Runner.Queue ];
+    Catalogue.[ Hash_table; Bpt; Queue ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -598,11 +600,11 @@ let ycsb sc =
   List.iter
     (fun kind ->
       Report.add_row t
-        (Runner.ds_name kind
+        (Catalogue.label kind
         :: List.map
              (fun p -> Report.kops (cell kind p))
              Asym_workload.Ycsb.[ A; B; C; D; F ]))
-    [ Runner.Hash_table; Runner.Bpt; Runner.Skip_list ];
+    Catalogue.[ Hash_table; Bpt; Skip_list ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -627,7 +629,7 @@ let sensitivity sc =
   in
   let cell lat' label =
     let run cfg =
-      (Runner.run_asym ~rig:(Runner.make_rig lat') ~cfg ~kind:Runner.Bpt ~preload:sc.preload
+      (Runner.run_asym ~rig:(Runner.make_rig lat') ~cfg ~kind:Catalogue.Bpt ~preload:sc.preload
          ~ops:sc.ops ())
         .Runner.kops
     in
@@ -668,7 +670,7 @@ let cache_policy sc =
       let cfg = { (Client.rc ()) with Client.cache_policy = policy; Client.page_size = 64 } in
       let res =
         Runner.run_asym ~dist:(Asym_workload.Ycsb.Zipfian 0.99) ~put_ratio:0.0
-          ~cache_pct:0.02 ~rig:(rig ()) ~cfg ~kind:Runner.Hash_table ~preload:sc.preload
+          ~cache_pct:0.02 ~rig:(rig ()) ~cfg ~kind:Catalogue.Hash_table ~preload:sc.preload
           ~ops:(2 * sc.ops) ()
       in
       let total = res.Runner.cache_hits + res.Runner.cache_misses in
@@ -700,12 +702,12 @@ let ablation sc =
     let r = rig () in
     let cfg = { (Client.rcb ~batch_size:batch ()) with Client.oplog_signaled = false } in
     let c = Runner.fresh_client ~name:"st" r cfg in
-    let inst = Runner.client_instance Runner.Stack c ~name:"st" in
+    let inst = Runner.attach Catalogue.Stack c ~name:"st" in
     let clock = Client.clock c in
     let kops, _ =
       Runner.measure ~clock ~ops:sc.ops (fun i ->
-          if i land 1 = 0 then inst.Runner.push (Runner.value_of (Int64.of_int i))
-          else ignore (inst.Runner.pop ()))
+          if i land 1 = 0 then inst.Catalogue.push (Runner.value_of (Int64.of_int i))
+          else ignore (inst.Catalogue.pop ()))
     in
     kops
   in
@@ -715,7 +717,7 @@ let ablation sc =
   (* 2. §4.3 op-log pointer on the wire. *)
   let wire opt =
     let cfg = { (Client.rcb ()) with Client.pointer_wire_opt = opt } in
-    (Runner.run_asym ~rig:(rig ()) ~cfg ~kind:Runner.Bpt ~preload:sc.preload ~ops:sc.ops ())
+    (Runner.run_asym ~rig:(rig ()) ~cfg ~kind:Catalogue.Bpt ~preload:sc.preload ~ops:sc.ops ())
       .Runner.kops
   in
   let woff = wire false and won = wire true in
@@ -731,22 +733,21 @@ let ablation sc =
     (* A deep tree and a cache that holds the upper levels but not the
        leaves: that is where the level hint pays. *)
     Runner.preload_instance
-      (Runner.client_instance Runner.Bst pre ~name:"bst")
+      (Runner.attach Catalogue.Bst pre ~name:"bst")
       ~fifo:false ~n:(sc.preload * 4) ~value_size:64;
     let cfg = Runner.with_cache_pct r (Client.rcb ()) 0.03 in
     let c = Runner.fresh_client ~name:"bst" r cfg in
-    let module P = Runner.Bc in
-    let b = P.attach ~cache_all_levels:all c ~name:"bst" in
+    let b = Bst_c.attach ~cache_all_levels:all c ~name:"bst" in
     let rng = Asym_util.Rng.create ~seed:31L in
     (* Warm, then measure. *)
     for _ = 1 to sc.ops / 2 do
       let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
-      ignore (P.find b ~key:k)
+      ignore (Bst_c.find b ~key:k)
     done;
     let kops, _ =
       Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
           let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
-          P.put b ~key:k ~value:(Runner.value_of k))
+          Bst_c.put b ~key:k ~value:(Runner.value_of k))
     in
     kops
   in
@@ -755,8 +756,8 @@ let ablation sc =
     [ "adaptive level caching (vs cache-all)"; Report.kops loff; Report.kops lon; Report.ratio (lon /. loff) ];
   (* 4. §4.2 transaction coalescing: R vs naive per-store writes, on the
      write-dominated queue where the effect is purest. *)
-  let n = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.naive ()) ~kind:Runner.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
-  let rr = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.r ()) ~kind:Runner.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
+  let n = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.naive ()) ~kind:Catalogue.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
+  let rr = (Runner.run_asym ~rig:(rig ()) ~cfg:(Client.r ()) ~kind:Catalogue.Queue ~preload:sc.preload ~ops:sc.ops ()).Runner.kops in
   Report.add_row t
     [ "memory-log tx coalescing (Queue: naive vs R)"; Report.kops n; Report.kops rr; Report.ratio (rr /. n) ];
   t

@@ -12,9 +12,10 @@
 
 open Asym_sim
 open Asym_core
+module Catalogue = Asym_structs.Catalogue
 
 type cell = {
-  kind : Runner.ds_kind;
+  kind : Catalogue.kind;
   config : string;
   drop : float;
   kops : float;
@@ -33,9 +34,9 @@ let value_size = 64
 let run_cell ~preload ~ops ~drop ~cfg kind =
   let rig = Runner.make_rig Latency.default in
   let loader = Runner.fresh_client ~name:"fault-loader" rig (Client.rcb ()) in
-  let linst = Runner.client_instance kind loader ~name:"faultsweep" in
-  Runner.preload_instance linst ~fifo:(Runner.is_fifo kind) ~n:preload ~value_size;
-  linst.Runner.cleanup ();
+  let linst = Runner.attach kind loader ~name:"faultsweep" in
+  Runner.preload_instance linst ~fifo:(Catalogue.(family kind <> Map)) ~n:preload ~value_size;
+  linst.Catalogue.cleanup ();
   Client.close loader;
   let fe = Runner.fresh_client ~name:"fault-fe" rig cfg in
   if drop > 0. then
@@ -44,14 +45,14 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
          (Asym_rdma.Verbs.Fault.make ~drop_p:drop ~delay_p:(drop /. 2.) ~delay_ns:3_000
             ~seed:(Int64.logxor 0xFA17L (Int64.of_int (int_of_float (drop *. 1e6))))
             ()));
-  let inst = Runner.client_instance kind fe ~name:"faultsweep" in
+  let inst = Runner.attach kind fe ~name:"faultsweep" in
   let base = Int64.of_int (4 * preload) in
   let kops, _elapsed =
     Runner.measure ~clock:(Client.clock fe) ~ops (fun i ->
         let key = Int64.add base (Int64.of_int i) in
-        inst.Runner.put key (Runner.value_of ~size:value_size key))
+        inst.Catalogue.put key (Runner.value_of ~size:value_size key))
   in
-  inst.Runner.cleanup ();
+  inst.Catalogue.cleanup ();
   (* The fence waits out queued back-end replay: the read-back below goes
      to the media image, not the client's write overlay. *)
   Client.persist_fence fe;
@@ -59,7 +60,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
   let bad_reads = ref 0 in
   for i = 0 to ops - 1 do
     let key = Int64.add base (Int64.of_int i) in
-    match inst.Runner.get key with
+    match inst.Catalogue.get key with
     | Some v when v = Runner.value_of ~size:value_size key -> ()
     | _ -> incr bad_reads
   done;
@@ -78,7 +79,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
 let default_cells ?(preload = 1000) ?(ops = 2000) () =
   List.concat_map
     (fun cfg ->
-      List.map (fun drop -> run_cell ~preload ~ops ~drop ~cfg Runner.Bpt) drops)
+      List.map (fun drop -> run_cell ~preload ~ops ~drop ~cfg Catalogue.Bpt) drops)
     [ Client.rcb (); Client.naive () ]
 
 (* -- table ------------------------------------------------------------------- *)

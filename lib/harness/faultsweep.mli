@@ -5,7 +5,7 @@
     reproduce run-to-run. *)
 
 type cell = {
-  kind : Runner.ds_kind;
+  kind : Asym_structs.Catalogue.kind;
   config : string;
   drop : float;  (** per-verb loss probability of this cell *)
   kops : float;
@@ -20,7 +20,12 @@ val drops : float list
 (** The swept drop rates: 0 (faults off) through 0.1. *)
 
 val run_cell :
-  preload:int -> ops:int -> drop:float -> cfg:Asym_core.Client.config -> Runner.ds_kind -> cell
+  preload:int ->
+  ops:int ->
+  drop:float ->
+  cfg:Asym_core.Client.config ->
+  Asym_structs.Catalogue.kind ->
+  cell
 
 val default_cells : ?preload:int -> ?ops:int -> unit -> cell list
 (** B+-tree puts under RCB and Naive, one cell per drop rate. *)

@@ -8,6 +8,7 @@
 
 open Asym_sim
 open Asym_core
+module Catalogue = Asym_structs.Catalogue
 
 let lat = Latency.default
 
@@ -31,7 +32,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
   (* Writer preloads, then keeps inserting. *)
   let wcfg = { (Client.rcb ~batch_size:64 ()) with Client.flush_on_unlock = false } in
   let writer = Runner.fresh_client ~name:"writer" rig wcfg in
-  let winst = Runner.client_instance ~shared:true kind writer ~name:"shared-ds" in
+  let winst = Runner.attach ~shared:true kind writer ~name:"shared-ds" in
   Runner.preload_instance winst ~fifo:false ~n:preload ~value_size:64;
   let rclients =
     List.init readers (fun i ->
@@ -39,7 +40,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
           (Runner.with_cache_pct rig (Client.rc ()) 0.10))
   in
   let rinsts =
-    List.map (fun c -> (c, Runner.client_instance ~shared:true kind c ~name:"shared-ds")) rclients
+    List.map (fun c -> (c, Runner.attach ~shared:true kind c ~name:"shared-ds")) rclients
   in
   (* Warm every reader's cache and level threshold before the clocks are
      aligned and measurement starts. *)
@@ -47,7 +48,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
     (fun i (_, inst) ->
       let rng = Asym_util.Rng.create ~seed:(Int64.of_int (900 + i)) in
       for _ = 1 to 1024 do
-        ignore (inst.Runner.get (Int64.of_int (Asym_util.Rng.int rng preload)))
+        ignore (inst.Catalogue.get (Int64.of_int (Asym_util.Rng.int rng preload)))
       done)
     rinsts;
   let clocks = Client.clock writer :: List.map Client.clock rclients in
@@ -60,7 +61,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
     Sched.client ~clock:wclock ~run:(fun () ->
         while Clock.now wclock < deadline do
           let k = Int64.of_int (Asym_util.Rng.int wrng (preload * 4)) in
-          winst.Runner.put k (Runner.value_of k);
+          winst.Catalogue.put k (Runner.value_of k);
           incr wops
         done)
   in
@@ -74,7 +75,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
         Sched.client ~clock:clk ~run:(fun () ->
             while Clock.now clk < deadline do
               let k = Int64.of_int (Asym_util.Rng.int rng preload) in
-              ignore (inst.Runner.get k);
+              ignore (inst.Catalogue.get k);
               Hashtbl.replace rops i (Hashtbl.find rops i + 1)
             done))
       rinsts
@@ -116,14 +117,14 @@ let fig8 ~preload ~duration =
           let p = fig8_point ~kind ~readers ~preload ~duration in
           Report.add_row t
             [
-              Runner.ds_name kind;
+              Catalogue.label kind;
               string_of_int readers;
               Report.kops p.reader_avg_kops;
               Report.kops p.writer_kops;
               Report.pct p.retry_ratio;
             ])
         [ 1; 2; 3; 4; 5; 6 ])
-    [ Runner.Mv_bst; Runner.Mv_bpt; Runner.Bst; Runner.Bpt; Runner.Skip_list ];
+    Catalogue.[ Mv_bst; Mv_bpt; Bst; Bpt; Skip_list ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -137,7 +138,7 @@ let fig9_point ~kind ~n ~preload ~duration =
         let c =
           Runner.fresh_client ~name:(Printf.sprintf "fe%d" i) rig (Client.rcb ~batch_size:64 ())
         in
-        let inst = Runner.client_instance kind c ~name:(Printf.sprintf "ds%d" i) in
+        let inst = Runner.attach kind c ~name:(Printf.sprintf "ds%d" i) in
         Runner.preload_instance inst ~fifo:false ~n:preload ~value_size:64;
         (c, inst))
   in
@@ -153,7 +154,7 @@ let fig9_point ~kind ~n ~preload ~duration =
         Sched.client ~clock:clk ~run:(fun () ->
             while Clock.now clk < deadline do
               let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Runner.put k (Runner.value_of k);
+              inst.Catalogue.put k (Runner.value_of k);
               counts.(i) <- counts.(i) + 1
             done))
       clients
@@ -172,11 +173,11 @@ let fig9 ~preload ~duration =
   List.iter
     (fun kind ->
       Report.add_row t
-        (Runner.ds_name kind
+        (Catalogue.label kind
         :: List.map
              (fun n -> Report.kops (fig9_point ~kind ~n ~preload ~duration))
              [ 1; 2; 3; 4; 5; 6; 7 ]))
-    [ Runner.Skip_list; Runner.Bst; Runner.Bpt; Runner.Mv_bst; Runner.Mv_bpt ];
+    Catalogue.[ Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -195,7 +196,7 @@ let fig10_point ~kind ~backends ~preload ~ops =
   let mb =
     Asym_structs.Multi_backend.create ~cfg:(Client.rcb ~batch_size:64 ()) ~name:"part" ~clock
       ~backends:(List.map (fun r -> r.Runner.bk) rigs)
-      ~attach:(fun c _i -> Runner.client_instance kind c ~name:"part")
+      ~attach:(fun c _i -> Runner.attach kind c ~name:"part")
       ()
   in
   let route key = Asym_structs.Multi_backend.route mb key in
@@ -203,13 +204,13 @@ let fig10_point ~kind ~backends ~preload ~ops =
      space (an ordered preload degenerates the unbalanced trees). *)
   let keys = Array.init preload (fun i -> Int64.of_int (4 * i)) in
   Asym_util.Rng.shuffle (Asym_util.Rng.create ~seed:4321L) keys;
-  Array.iter (fun k -> (route k).Runner.put k (Runner.value_of k)) keys;
-  Asym_structs.Multi_backend.iter_parts mb (fun _ inst -> inst.Runner.cleanup ());
+  Array.iter (fun k -> (route k).Catalogue.put k (Runner.value_of k)) keys;
+  Asym_structs.Multi_backend.iter_parts mb (fun _ inst -> inst.Catalogue.cleanup ());
   let rng = Asym_util.Rng.create ~seed:61L in
   let t0 = Clock.now clock in
   for _ = 1 to ops do
     let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-    (route k).Runner.put k (Runner.value_of k)
+    (route k).Catalogue.put k (Runner.value_of k)
   done;
   kops_of ops (Clock.now clock - t0)
 
@@ -222,11 +223,11 @@ let fig10 ~preload ~ops =
   List.iter
     (fun kind ->
       Report.add_row t
-        (Runner.ds_name kind
+        (Catalogue.label kind
         :: List.map
              (fun n -> Report.kops (fig10_point ~kind ~backends:n ~preload ~ops))
              [ 1; 2; 3; 4; 5; 6; 7 ]))
-    [ Runner.Skip_list; Runner.Bst; Runner.Bpt; Runner.Mv_bst; Runner.Mv_bpt ];
+    Catalogue.[ Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +245,7 @@ let fig11 ~preload ~ops =
     Runner.fresh_client ~name:"fe" rig
       (Runner.with_cache_pct rig (Client.rcb ~batch_size:64 ()) 0.10)
   in
-  let inst = Runner.client_instance Runner.Bst c ~name:"bst" in
+  let inst = Runner.attach Catalogue.Bst c ~name:"bst" in
   Runner.preload_instance inst ~fifo:false ~n:preload ~value_size:64;
   let clock = Client.clock c in
   let rng = Asym_util.Rng.create ~seed:71L in
@@ -257,8 +258,8 @@ let fig11 ~preload ~ops =
     let be_busy0 = Timeline.busy_total (Backend.cpu rig.Runner.bk) in
     for _ = 1 to per_window do
       let k = Int64.of_int (Asym_util.Rng.int rng (preload * 2)) in
-      if Asym_util.Rng.float rng < 0.1 then inst.Runner.put k (Runner.value_of k)
-      else ignore (inst.Runner.get k)
+      if Asym_util.Rng.float rng < 0.1 then inst.Catalogue.put k (Runner.value_of k)
+      else ignore (inst.Catalogue.get k)
     done;
     done_ops := !done_ops + per_window;
     let elapsed = Clock.now clock - t0 in
@@ -381,13 +382,13 @@ let contention_point ~writers ~preload ~duration =
      the tree — the config the paper requires for shared writers. *)
   let cfg = { (Client.rcb ~batch_size:16 ()) with Client.flush_on_unlock = true } in
   let setup = Runner.fresh_client ~name:"setup" rig cfg in
-  let sinst = Runner.client_instance ~shared:true Runner.Bst setup ~name:"contended-ds" in
+  let sinst = Runner.attach ~shared:true Catalogue.Bst setup ~name:"contended-ds" in
   Runner.preload_instance sinst ~fifo:false ~n:preload ~value_size:64;
   Client.close setup;
   let wcs =
     List.init writers (fun i ->
         let c = Runner.fresh_client ~name:(Printf.sprintf "w%d" i) rig cfg in
-        (c, Runner.client_instance ~shared:true Runner.Bst c ~name:"contended-ds"))
+        (c, Runner.attach ~shared:true Catalogue.Bst c ~name:"contended-ds"))
   in
   let clocks = List.map (fun (c, _) -> Client.clock c) wcs in
   let t0 = align clocks in
@@ -401,7 +402,7 @@ let contention_point ~writers ~preload ~duration =
         Sched.client ~clock:clk ~run:(fun () ->
             while Clock.now clk < deadline do
               let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Runner.put k (Runner.value_of k);
+              inst.Catalogue.put k (Runner.value_of k);
               counts.(i) <- counts.(i) + 1
             done))
       wcs

@@ -11,20 +11,29 @@ type fig8_point = {
 }
 
 val fig8_point :
-  kind:Runner.ds_kind -> readers:int -> preload:int -> duration:Asym_sim.Simtime.t -> fig8_point
+  kind:Asym_structs.Catalogue.kind ->
+  readers:int ->
+  preload:int ->
+  duration:Asym_sim.Simtime.t ->
+  fig8_point
 (** One writer (100% insert) plus [readers] reader front-ends on one
     shared structure. *)
 
 val fig8 : preload:int -> duration:Asym_sim.Simtime.t -> Report.t
 
 val fig9_point :
-  kind:Runner.ds_kind -> n:int -> preload:int -> duration:Asym_sim.Simtime.t -> float
+  kind:Asym_structs.Catalogue.kind ->
+  n:int ->
+  preload:int ->
+  duration:Asym_sim.Simtime.t ->
+  float
 (** Aggregate KOPS of [n] front-ends, each writing its own structure on a
     shared back-end. *)
 
 val fig9 : preload:int -> duration:Asym_sim.Simtime.t -> Report.t
 
-val fig10_point : kind:Runner.ds_kind -> backends:int -> preload:int -> ops:int -> float
+val fig10_point :
+  kind:Asym_structs.Catalogue.kind -> backends:int -> preload:int -> ops:int -> float
 (** One front-end, structure key-hash-partitioned over [backends]
     back-end nodes. *)
 

@@ -1,63 +1,13 @@
-(** Shared machinery for the experiment harness: rig construction, a
-    uniform facade over the eight data structures on both architectures,
-    and single-client throughput runs. *)
+(** Shared machinery for the experiment harness: rig construction, the
+    harness's attachment of catalogue structures, and single-client
+    throughput runs. *)
 
 open Asym_sim
 open Asym_core
 open Asym_structs
-
-type ds_kind = Queue | Stack | Hash_table | Skip_list | Bst | Bpt | Mv_bst | Mv_bpt
-
-let ds_name = function
-  | Queue -> "Queue"
-  | Stack -> "Stack"
-  | Hash_table -> "HashTable"
-  | Skip_list -> "SkipList"
-  | Bst -> "BST"
-  | Bpt -> "BPT"
-  | Mv_bst -> "MV-BST"
-  | Mv_bpt -> "MV-BPT"
-
-let all_ds = [ Queue; Stack; Hash_table; Skip_list; Bst; Bpt; Mv_bst; Mv_bpt ]
-
-let ds_of_name s =
-  let canon s = String.lowercase_ascii (String.concat "" (String.split_on_char '-' s)) in
-  List.find_opt (fun k -> canon (ds_name k) = canon s) all_ds
-
-let is_fifo = function Queue | Stack -> true | _ -> false
-
-(* A uniform facade over one attached structure instance. *)
-type instance = {
-  put : int64 -> bytes -> unit;
-  get : int64 -> bytes option;
-  del : int64 -> bool;
-  push : bytes -> unit;
-  pop : unit -> bytes option;
-  vput : ((int64 * bytes) list -> unit) option;
-  cleanup : unit -> unit;  (** flush logs, drain deferred GC *)
-}
-
-(* -- functor instantiations ------------------------------------------------ *)
-
-module Qc = Pqueue.Make (Client)
-module Sc = Pstack.Make (Client)
-module Hc = Phash.Make (Client)
-module Kc = Pskiplist.Make (Client)
-module Bc = Pbst.Make (Client)
-module Pc = Pbptree.Make (Client)
-module Mc = Pmvbst.Make (Client)
-module Nc = Pmvbptree.Make (Client)
-module Ql = Pqueue.Make (Asym_baseline.Local_store)
-module Sl = Pstack.Make (Asym_baseline.Local_store)
-module Hl = Phash.Make (Asym_baseline.Local_store)
-module Kl = Pskiplist.Make (Asym_baseline.Local_store)
-module Bl = Pbst.Make (Asym_baseline.Local_store)
-module Pl = Pbptree.Make (Asym_baseline.Local_store)
-module Ml = Pmvbst.Make (Asym_baseline.Local_store)
-module Nl = Pmvbptree.Make (Asym_baseline.Local_store)
-
-let no_fifo () = invalid_arg "Runner: not a queue/stack instance"
-let no_kv _ = invalid_arg "Runner: not a key/value instance"
+open Catalogue
+module Cat_client = Catalogue.Make (Client)
+module Cat_local = Catalogue.Make (Asym_baseline.Local_store)
 
 (* [locked] selects lock-based operation: in the paper's evaluation the
    ordered index structures (SkipList/BST/BPT and TATP's trees) take the
@@ -70,203 +20,15 @@ let ds_opts ~shared kind : Ds_intf.options =
   | Queue | Stack | Hash_table | Mv_bst | Mv_bpt ->
       if shared then { Ds_intf.shared = true; use_lock = false } else Ds_intf.default_options
 
-let client_instance ?(shared = false) kind (c : Client.t) ~name : instance =
-  let opts = ds_opts ~shared kind in
-  let flush () = Client.flush c in
-  match kind with
-  | Queue ->
-      let q = Qc.attach ~opts c ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Qc.enqueue q;
-        pop = (fun () -> Qc.dequeue q);
-        vput = None;
-        cleanup = flush;
-      }
-  | Stack ->
-      let s = Sc.attach ~opts c ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Sc.push s;
-        pop = (fun () -> Sc.pop s);
-        vput = None;
-        cleanup = flush;
-      }
-  | Hash_table ->
-      let h = Hc.attach ~opts ~nbuckets:16384 c ~name in
-      {
-        put = (fun key value -> Hc.put h ~key ~value);
-        get = (fun key -> Hc.get h ~key);
-        del = (fun key -> Hc.delete h ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Skip_list ->
-      let k = Kc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Kc.put k ~key ~value);
-        get = (fun key -> Kc.find k ~key);
-        del = (fun key -> Kc.delete k ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Bst ->
-      let b = Bc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Bc.put b ~key ~value);
-        get = (fun key -> Bc.find b ~key);
-        del = (fun key -> Bc.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Bc.insert_vector b);
-        cleanup = flush;
-      }
-  | Bpt ->
-      let b = Pc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Pc.put b ~key ~value);
-        get = (fun key -> Pc.find b ~key);
-        del = (fun key -> Pc.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Pc.insert_vector b);
-        cleanup = flush;
-      }
-  | Mv_bst ->
-      let m = Mc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Mc.put m ~key ~value);
-        get = (fun key -> Mc.find m ~key);
-        del = (fun key -> Mc.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            Client.flush c;
-            Mc.gc_drain m);
-      }
-  | Mv_bpt ->
-      let m = Nc.attach ~opts c ~name in
-      {
-        put = (fun key value -> Nc.put m ~key ~value);
-        get = (fun key -> Nc.find m ~key);
-        del = (fun key -> Nc.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            Client.flush c;
-            Nc.gc_drain m);
-      }
+(* The harness's instance parameters: a 16384-bucket hash table and the
+   skip list's own default tower seed. *)
+let nbuckets = 16384
+let skip_seed = 4242L
 
-let local_instance kind (s : Asym_baseline.Local_store.t) ~name : instance =
-  let opts = ds_opts ~shared:false kind in
-  let flush () = Asym_baseline.Local_store.flush s in
-  match kind with
-  | Queue ->
-      let q = Ql.attach ~opts s ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Ql.enqueue q;
-        pop = (fun () -> Ql.dequeue q);
-        vput = None;
-        cleanup = flush;
-      }
-  | Stack ->
-      let st = Sl.attach ~opts s ~name in
-      {
-        put = no_kv;
-        get = (fun _ -> no_kv ());
-        del = (fun _ -> no_kv ());
-        push = Sl.push st;
-        pop = (fun () -> Sl.pop st);
-        vput = None;
-        cleanup = flush;
-      }
-  | Hash_table ->
-      let h = Hl.attach ~opts ~nbuckets:16384 s ~name in
-      {
-        put = (fun key value -> Hl.put h ~key ~value);
-        get = (fun key -> Hl.get h ~key);
-        del = (fun key -> Hl.delete h ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Skip_list ->
-      let k = Kl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Kl.put k ~key ~value);
-        get = (fun key -> Kl.find k ~key);
-        del = (fun key -> Kl.delete k ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup = flush;
-      }
-  | Bst ->
-      let b = Bl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Bl.put b ~key ~value);
-        get = (fun key -> Bl.find b ~key);
-        del = (fun key -> Bl.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Bl.insert_vector b);
-        cleanup = flush;
-      }
-  | Bpt ->
-      let b = Pl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Pl.put b ~key ~value);
-        get = (fun key -> Pl.find b ~key);
-        del = (fun key -> Pl.delete b ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = Some (Pl.insert_vector b);
-        cleanup = flush;
-      }
-  | Mv_bst ->
-      let m = Ml.attach ~opts s ~name in
-      {
-        put = (fun key value -> Ml.put m ~key ~value);
-        get = (fun key -> Ml.find m ~key);
-        del = (fun key -> Ml.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            flush ();
-            Ml.gc_drain m);
-      }
-  | Mv_bpt ->
-      let m = Nl.attach ~opts s ~name in
-      {
-        put = (fun key value -> Nl.put m ~key ~value);
-        get = (fun key -> Nl.find m ~key);
-        del = (fun key -> Nl.delete m ~key);
-        push = (fun _ -> no_fifo ());
-        pop = (fun () -> no_fifo ());
-        vput = None;
-        cleanup =
-          (fun () ->
-            flush ();
-            Nl.gc_drain m);
-      }
+let attach ?(shared = false) kind c ~name =
+  Cat_client.attach kind ~opts:(ds_opts ~shared kind) ~nbuckets ~skip_seed c ~name
+
+let is_seq kind = family kind <> Map
 
 (* -- rig ---------------------------------------------------------------- *)
 
@@ -406,14 +168,14 @@ let drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace ~ops ~seed inst =
 let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_ratio = 1.0)
     ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ?warmup ~rig ~cfg ~kind ~preload ~ops
     () =
-  let fifo = is_fifo kind in
-  let nm = ds_name kind in
+  let fifo = is_seq kind in
+  let nm = label kind in
   let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = client_instance kind pre ~name:nm in
+  let pinst = attach kind pre ~name:nm in
   preload_instance pinst ~fifo ~n:preload ~value_size;
   let cfg = with_cache_pct rig cfg cache_pct in
   let c = fresh_client ~name:nm rig cfg in
-  let inst = client_instance ~shared kind c ~name:nm in
+  let inst = attach ~shared kind c ~name:nm in
   let clock = Client.clock c in
   (* Warm the cache and the adaptive level threshold before measuring. *)
   let warmup = match warmup with Some w -> w | None -> max 256 (ops / 2) in
@@ -451,14 +213,14 @@ let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_rati
    64 B - 8 KB values) instead of the fixed-size YCSB generator. *)
 let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~ops ~put_ratio ()
     =
-  let fifo = is_fifo kind in
-  let nm = ds_name kind in
+  let fifo = is_seq kind in
+  let nm = label kind in
   let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = client_instance kind pre ~name:nm in
+  let pinst = attach kind pre ~name:nm in
   preload_instance pinst ~fifo ~n:preload ~value_size:64;
   let cfg = with_cache_pct rig cfg cache_pct in
   let c = fresh_client ~name:nm rig cfg in
-  let inst = client_instance kind c ~name:nm in
+  let inst = attach kind c ~name:nm in
   let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
   let rng = Asym_util.Rng.create ~seed in
   let tr =
@@ -495,11 +257,13 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
 (* The same cell on the symmetric baseline. *)
 let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform)
     ?(seed = 99L) ~lat ~cfg ~kind ~preload ~ops () =
-  let fifo = is_fifo kind in
-  let nm = ds_name kind in
+  let fifo = is_seq kind in
+  let nm = label kind in
   let clock = Clock.create ~name:("sym." ^ nm) () in
   let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
-  let inst = local_instance kind s ~name:nm in
+  let inst =
+    Cat_local.attach kind ~opts:(ds_opts ~shared:false kind) ~nbuckets ~skip_seed s ~name:nm
+  in
   preload_instance inst ~fifo ~n:preload ~value_size;
   let kops, elapsed, lats =
     Obs_report.phase (nm ^ ".sym") (fun () ->

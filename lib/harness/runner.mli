@@ -1,50 +1,25 @@
 (** Shared machinery for the experiment harness.
 
-    Builds rigs (a back-end plus optional mirrors), presents the eight
-    data structures behind one facade on both architectures, and runs the
-    standard preload → warm-up → measure cycle that every table/figure
-    cell uses. Throughput is virtual-time throughput: operations divided
-    by the simulated nanoseconds they spanned. *)
+    Builds rigs (a back-end plus optional mirrors), attaches
+    {!Asym_structs.Catalogue} structures with the harness's parameters on
+    both architectures, and runs the standard preload → warm-up → measure
+    cycle that every table/figure cell uses. Throughput is virtual-time
+    throughput: operations divided by the simulated nanoseconds they
+    spanned. *)
 
-type ds_kind = Queue | Stack | Hash_table | Skip_list | Bst | Bpt | Mv_bst | Mv_bpt
-
-val ds_name : ds_kind -> string
-val all_ds : ds_kind list
-
-val ds_of_name : string -> ds_kind option
-(** Case-insensitive, dash-insensitive inverse of {!ds_name}
-    (["mv-bpt"], ["MVBPT"] and ["MV-BPT"] all resolve). *)
-
-val is_fifo : ds_kind -> bool
-
-(** Uniform facade over one attached structure instance. Key/value
-    structures implement [put]/[get]/[del]; queue/stack implement
-    [push]/[pop]; the wrong family raises [Invalid_argument]. *)
-type instance = {
-  put : int64 -> bytes -> unit;
-  get : int64 -> bytes option;
-  del : int64 -> bool;
-  push : bytes -> unit;
-  pop : unit -> bytes option;
-  vput : ((int64 * bytes) list -> unit) option;  (** Algorithm 3, trees only *)
-  cleanup : unit -> unit;  (** flush logs, drain deferred GC *)
-}
-
-(** The functor instantiations, exposed for experiments needing the full
-    structure API rather than the facade. *)
-
-module Pc : module type of Asym_structs.Pbptree.Make (Asym_core.Client)
-module Bc : module type of Asym_structs.Pbst.Make (Asym_core.Client)
-
-val ds_opts : shared:bool -> ds_kind -> Asym_structs.Ds_intf.options
+val ds_opts : shared:bool -> Asym_structs.Catalogue.kind -> Asym_structs.Ds_intf.options
 (** The evaluation's locking discipline: ordered index structures take
     the writer lock; queue/stack/hash run single-writer; the MV trees
     synchronize via root CAS. *)
 
-val client_instance :
-  ?shared:bool -> ds_kind -> Asym_core.Client.t -> name:string -> instance
-
-val local_instance : ds_kind -> Asym_baseline.Local_store.t -> name:string -> instance
+val attach :
+  ?shared:bool ->
+  Asym_structs.Catalogue.kind ->
+  Asym_core.Client.t ->
+  name:string ->
+  Asym_structs.Catalogue.instance
+(** Attach on the AsymNVM front-end with {!ds_opts}, a 16384-bucket hash
+    table and the skip list's default tower seed. *)
 
 (** {2 Rigs} *)
 
@@ -67,7 +42,8 @@ val with_cache_pct : rig -> Asym_core.Client.config -> float -> Asym_core.Client
 
 val value_of : ?size:int -> int64 -> bytes
 
-val preload_instance : instance -> fifo:bool -> n:int -> value_size:int -> unit
+val preload_instance :
+  Asym_structs.Catalogue.instance -> fifo:bool -> n:int -> value_size:int -> unit
 (** Load [n] items: pushes for FIFO structures; for key/value structures,
     keys spread over the whole measurement key space in shuffled order
     (an ordered preload would degenerate the unbalanced trees). *)
@@ -91,18 +67,21 @@ val measure : clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) -> float * Asym
 val run_asym :
   ?shared:bool -> ?value_size:int -> ?cache_pct:float -> ?put_ratio:float ->
   ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 -> ?warmup:int -> rig:rig ->
-  cfg:Asym_core.Client.config -> kind:ds_kind -> preload:int -> ops:int -> unit -> result
+  cfg:Asym_core.Client.config -> kind:Asym_structs.Catalogue.kind -> preload:int -> ops:int ->
+  unit -> result
 (** One Table-3-style cell on the AsymNVM architecture: preload through a
     throwaway client, warm the measurement client, measure. *)
 
 val run_asym_trace :
-  ?cache_pct:float -> ?seed:int64 -> rig:rig -> cfg:Asym_core.Client.config -> kind:ds_kind ->
+  ?cache_pct:float -> ?seed:int64 -> rig:rig -> cfg:Asym_core.Client.config ->
+  kind:Asym_structs.Catalogue.kind ->
   preload:int -> ops:int -> put_ratio:float -> unit -> result
 (** Figure-13 variant: the synthetic industry trace (power-law keys,
     64 B – 8 KB values). *)
 
 val run_sym :
   ?value_size:int -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 ->
-  lat:Asym_sim.Latency.t -> cfg:Asym_baseline.Local_store.config -> kind:ds_kind ->
+  lat:Asym_sim.Latency.t -> cfg:Asym_baseline.Local_store.config ->
+  kind:Asym_structs.Catalogue.kind ->
   preload:int -> ops:int -> unit -> result
 (** The same cell on the symmetric baseline. *)

@@ -10,49 +10,29 @@
 
 open Asym_core
 
-type 'ds t = {
-  clients : Client.t array;
-  parts : 'ds array;
-  name : string;
-}
+module P = Partition.Make (Client)
 
-let hash key n =
-  let z = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
-  Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int n))
+type 'ds t = { clients : Client.t array; parts : 'ds array }
 
 let create ?(cfg = Client.rcb ()) ?(name = "mb") ~clock ~backends ~attach () =
   let backends = Array.of_list backends in
   let n = Array.length backends in
   if n = 0 then invalid_arg "Multi_backend.create: no back-ends";
   let clients =
-    Array.mapi
-      (fun _i bk ->
+    Array.map
+      (fun bk ->
         Client.connect ~name:(Printf.sprintf "%s->%s" name (Backend.name bk)) cfg bk ~clock)
       backends
   in
-  (* Persist (or read back) the partition count on back-end 0. *)
-  let h = Client.register_ds clients.(0) (name ^ "!pmap") in
-  let persisted = Client.read_u64 ~hint:`Hot clients.(0) h.Types.root in
-  let n =
-    if persisted = 0L then begin
-      Client.write_u64 clients.(0) ~ds:h.Types.id h.Types.root (Int64.of_int n);
-      Client.flush clients.(0);
-      n
-    end
-    else begin
-      let p = Int64.to_int persisted in
-      if p > n then
-        invalid_arg
-          (Printf.sprintf "Multi_backend.create: map says %d partitions, only %d back-ends" p n);
-      p
-    end
-  in
-  let parts = Array.init n (fun i -> attach clients.(i) i) in
-  { clients; parts; name }
+  (* The partition map lives on back-end 0. *)
+  let p = P.open_map clients.(0) ~name ~n in
+  if p > n then
+    invalid_arg
+      (Printf.sprintf "Multi_backend.create: map says %d partitions, only %d back-ends" p n);
+  { clients; parts = Array.init p (fun i -> attach clients.(i) i) }
 
 let npartitions t = Array.length t.parts
-let route t key = t.parts.(hash key (Array.length t.parts))
+let route t key = t.parts.(P.hash key (Array.length t.parts))
 let part t i = t.parts.(i)
 let client t i = t.clients.(i)
 let iter_parts t f = Array.iteri f t.parts

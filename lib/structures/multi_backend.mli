@@ -9,8 +9,6 @@
 
 type 'ds t
 
-val hash : int64 -> int -> int
-
 val create :
   ?cfg:Asym_core.Client.config ->
   ?name:string ->

@@ -18,21 +18,21 @@ module Make (S : Store.S) = struct
     let z = Int64.logxor z (Int64.shift_right_logical z 33) in
     Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int n))
 
-  (* [map_store] is where the partition map lives (typically partition 0's
-     store); [attach i] builds or opens the i-th underlying instance. *)
-  let create map_store ~name ~n ~attach =
+  let open_map map_store ~name ~n =
     assert (n >= 1);
     let h = S.register_ds map_store (name ^ "!pmap") in
     let persisted = S.read_u64 ~hint:`Hot map_store h.Types.root in
-    let n =
-      if persisted = 0L then begin
-        S.write_u64 map_store ~ds:h.Types.id h.Types.root (Int64.of_int n);
-        S.flush map_store;
-        n
-      end
-      else Int64.to_int persisted
-    in
-    { parts = Array.init n (fun i -> attach i); name }
+    if persisted = 0L then begin
+      S.write_u64 map_store ~ds:h.Types.id h.Types.root (Int64.of_int n);
+      S.flush map_store;
+      n
+    end
+    else Int64.to_int persisted
+
+  (* [map_store] is where the partition map lives (typically partition 0's
+     store); [attach i] builds or opens the i-th underlying instance. *)
+  let create map_store ~name ~n ~attach =
+    { parts = Array.init (open_map map_store ~name ~n) attach; name }
 
   let npartitions t = Array.length t.parts
   let route t key = t.parts.(hash key (Array.length t.parts))

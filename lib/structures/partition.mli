@@ -14,6 +14,10 @@ module Make (S : Asym_core.Store.S) : sig
       exposed so external routers (multi-back-end deployments with one
       client per back-end) agree with {!route}. *)
 
+  val open_map : S.t -> name:string -> n:int -> int
+  (** Open the partition map persisted under [name] and return its
+      partition count; with no map yet, persist [n] and return it. *)
+
   val create : S.t -> name:string -> n:int -> attach:(int -> 'ds) -> 'ds t
   (** Build or open the partition map on [map_store], then attach every
       underlying instance. An existing map's partition count overrides

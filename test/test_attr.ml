@@ -7,6 +7,7 @@ open Asym_obs
 open Asym_sim
 module Runner = Asym_harness.Runner
 module Breakdown = Asym_harness.Breakdown
+module Catalogue = Asym_structs.Catalogue
 
 let check = Alcotest.check
 
@@ -147,7 +148,7 @@ let test_conservation_bpt_rcb () =
   let cell =
     Breakdown.run_cell ~put_ratio:0.5
       ~rig:(Runner.make_rig Latency.default)
-      ~cfg:(Asym_core.Client.rcb ()) ~preload:1000 ~ops:1000 Runner.Bpt
+      ~cfg:(Asym_core.Client.rcb ()) ~preload:1000 ~ops:1000 Catalogue.Bpt
   in
   check Alcotest.int "ops measured" 1000 cell.Breakdown.res.Runner.ops;
   check Alcotest.int "per-cause ns sum to elapsed (exact)"
@@ -158,16 +159,16 @@ let test_conservation_bpt_rcb () =
 let test_conservation_all_structures () =
   List.iter
     (fun kind ->
-      let put_ratio = if Runner.is_fifo kind then 1.0 else 0.5 in
+      let put_ratio = if Catalogue.(family kind <> Map) then 1.0 else 0.5 in
       let cell =
         Breakdown.run_cell ~put_ratio
           ~rig:(Runner.make_rig Latency.default)
           ~cfg:(Asym_core.Client.rcb ()) ~preload:300 ~ops:300 kind
       in
       check Alcotest.int
-        (Printf.sprintf "%s: attributed == elapsed" (Runner.ds_name kind))
+        (Printf.sprintf "%s: attributed == elapsed" (Catalogue.label kind))
         cell.Breakdown.res.Runner.elapsed (Breakdown.attr_total cell))
-    Runner.all_ds
+    Catalogue.all
 
 let () =
   Alcotest.run "attr"

@@ -10,6 +10,7 @@ module Attr = Asym_obs.Attr
 module Runner = Asym_harness.Runner
 module Multiclient = Asym_harness.Multiclient
 module Bench_json = Asym_harness.Bench_json
+module Catalogue = Asym_structs.Catalogue
 
 let check = Alcotest.check
 let lat = Latency.default
@@ -171,7 +172,7 @@ let test_client_conservation () =
     let c =
       Runner.fresh_client ~name:(Printf.sprintf "cc%d" i) rig (Client.rcb ~batch_size:8 ())
     in
-    (c, Runner.client_instance Runner.Bst c ~name:(Printf.sprintf "ds%d" i))
+    (c, Runner.attach Catalogue.Bst c ~name:(Printf.sprintf "ds%d" i))
   in
   let pairs = [ mk 0; mk 1 ] in
   let clocks = List.map (fun (c, _) -> Client.clock c) pairs in
@@ -187,7 +188,7 @@ let test_client_conservation () =
         Sched.client ~clock:clk ~run:(fun () ->
             for _ = 1 to 200 do
               let k = Int64.of_int (Asym_util.Rng.int rng 512) in
-              inst.Runner.put k (Runner.value_of k)
+              inst.Catalogue.put k (Runner.value_of k)
             done))
       pairs
   in
@@ -212,7 +213,7 @@ let test_heartbeat_interleaves () =
   let module Ka = Asym_cluster.Keepalive in
   let rig = Runner.make_rig lat in
   let c = Runner.fresh_client ~name:"hb-fe" rig (Client.rcb ~batch_size:8 ()) in
-  let inst = Runner.client_instance Runner.Bst c ~name:"hbds" in
+  let inst = Runner.attach Catalogue.Bst c ~name:"hbds" in
   let clk = Client.clock c in
   let kclk = Clock.create ~name:"ka" () in
   ignore (align [ clk; kclk ]);
@@ -225,7 +226,7 @@ let test_heartbeat_interleaves () =
     Sched.client ~clock:clk ~run:(fun () ->
         while Clock.now clk < stop do
           let k = Int64.of_int (Asym_util.Rng.int rng 256) in
-          inst.Runner.put k (Runner.value_of k)
+          inst.Catalogue.put k (Runner.value_of k)
         done)
   in
   Sched.run [ worker; hb ];

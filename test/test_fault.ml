@@ -201,13 +201,10 @@ let test_keepalive_rides_out_grey_period () =
 
 (* -- fault-schedule checking -------------------------------------------------- *)
 
-let subject () =
-  match Asym_check.Subject.find "pbptree" with
-  | Some s -> s
-  | None -> Alcotest.fail "pbptree subject not registered"
+let bpt = Asym_structs.Catalogue.Bpt
 
 let test_fuzz_with_faults () =
-  let o = Asym_check.Fuzz.run ~clients:2 ~drop:0.05 (subject ()) ~steps:120 ~seed:11L in
+  let o = Asym_check.Fuzz.run ~clients:2 ~drop:0.05 bpt ~steps:120 ~seed:11L in
   check
     Alcotest.(list string)
     (Fmt.str "%a" Asym_check.Fuzz.pp_outcome o)
@@ -217,7 +214,7 @@ let test_fuzz_with_faults () =
   check Alcotest.bool "grey periods armed" true (o.Asym_check.Fuzz.grey_periods > 0)
 
 let test_fuzz_fault_determinism () =
-  let run () = Asym_check.Fuzz.run ~clients:2 ~drop:0.08 (subject ()) ~steps:80 ~seed:9L in
+  let run () = Asym_check.Fuzz.run ~clients:2 ~drop:0.08 bpt ~steps:80 ~seed:9L in
   let a = run () and b = run () in
   check Alcotest.int "same retries" a.Asym_check.Fuzz.fault_retries b.Asym_check.Fuzz.fault_retries;
   check Alcotest.int "same timeouts" a.Asym_check.Fuzz.verb_timeouts b.Asym_check.Fuzz.verb_timeouts;
@@ -228,7 +225,7 @@ let test_fuzz_fault_determinism () =
 let test_sweep_with_faults () =
   (* Crash points compounded with transient loss: every recovery must
      still validate against the reference model. *)
-  let o = Asym_check.Explorer.sweep ~stride:7 ~tear:false ~drop:0.05 (subject ()) ~ops:12 ~seed:3L in
+  let o = Asym_check.Explorer.sweep ~stride:7 ~tear:false ~drop:0.05 bpt ~ops:12 ~seed:3L in
   check Alcotest.int
     (Fmt.str "%a" Asym_check.Explorer.pp_outcome o)
     0

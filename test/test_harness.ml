@@ -3,6 +3,7 @@
    orderings (the full-size runs live in bench/main.exe). *)
 
 open Asym_harness
+module Catalogue = Asym_structs.Catalogue
 
 let check = Alcotest.check
 let lat = Asym_sim.Latency.default
@@ -20,10 +21,10 @@ let test_all_ds_all_configs_positive () =
         (fun cfg ->
           let kops = run_cell cfg kind in
           if kops <= 0.0 then
-            Alcotest.failf "%s/%s: non-positive throughput" (Runner.ds_name kind)
+            Alcotest.failf "%s/%s: non-positive throughput" (Catalogue.label kind)
               (Asym_core.Client.config_name cfg))
         [ Asym_core.Client.naive (); Asym_core.Client.r (); Asym_core.Client.rcb () ])
-    Runner.all_ds
+    Catalogue.all
 
 let test_sym_all_ds_positive () =
   List.iter
@@ -32,8 +33,8 @@ let test_sym_all_ds_positive () =
         Runner.run_sym ~lat ~cfg:Asym_baseline.Local_store.symmetric ~kind
           ~preload:tiny.Experiments.preload ~ops:tiny.Experiments.ops ()
       in
-      if r.Runner.kops <= 0.0 then Alcotest.failf "%s: non-positive" (Runner.ds_name kind))
-    Runner.all_ds
+      if r.Runner.kops <= 0.0 then Alcotest.failf "%s: non-positive" (Catalogue.label kind))
+    Catalogue.all
 
 let test_rcb_beats_naive () =
   List.iter
@@ -41,34 +42,34 @@ let test_rcb_beats_naive () =
       let naive = run_cell (Asym_core.Client.naive ()) kind in
       let rcb = run_cell (Asym_core.Client.rcb ()) kind in
       if rcb <= naive then
-        Alcotest.failf "%s: RCB (%.1f) not faster than naive (%.1f)" (Runner.ds_name kind) rcb
+        Alcotest.failf "%s: RCB (%.1f) not faster than naive (%.1f)" (Catalogue.label kind) rcb
           naive)
-    [ Runner.Queue; Runner.Hash_table; Runner.Bpt; Runner.Mv_bpt ]
+    Catalogue.[ Queue; Hash_table; Bpt; Mv_bpt ]
 
 let test_read_heavy_faster_than_write_heavy () =
-  let w = run_cell ~put_ratio:1.0 (Asym_core.Client.rc ()) Runner.Hash_table in
-  let r = run_cell ~put_ratio:0.0 (Asym_core.Client.rc ()) Runner.Hash_table in
+  let w = run_cell ~put_ratio:1.0 (Asym_core.Client.rc ()) Catalogue.Hash_table in
+  let r = run_cell ~put_ratio:0.0 (Asym_core.Client.rc ()) Catalogue.Hash_table in
   check Alcotest.bool "reads cheaper" true (r > w)
 
 let test_trace_runner () =
   let r =
     Runner.run_asym_trace ~rig:(Runner.make_rig lat) ~cfg:(Asym_core.Client.rc ())
-      ~kind:Runner.Hash_table ~preload:200 ~ops:200 ~put_ratio:0.5 ()
+      ~kind:Catalogue.Hash_table ~preload:200 ~ops:200 ~put_ratio:0.5 ()
   in
   check Alcotest.bool "positive" true (r.Runner.kops > 0.0)
 
 let test_fig8_point () =
-  let p = Multiclient.fig8_point ~kind:Runner.Bst ~readers:2 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
+  let p = Multiclient.fig8_point ~kind:Catalogue.Bst ~readers:2 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
   check Alcotest.bool "reader tput positive" true (p.Multiclient.reader_avg_kops > 0.0);
   check Alcotest.bool "writer tput positive" true (p.Multiclient.writer_kops > 0.0)
 
 let test_fig9_scales () =
-  let one = Multiclient.fig9_point ~kind:Runner.Bpt ~n:1 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
-  let three = Multiclient.fig9_point ~kind:Runner.Bpt ~n:3 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
+  let one = Multiclient.fig9_point ~kind:Catalogue.Bpt ~n:1 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
+  let three = Multiclient.fig9_point ~kind:Catalogue.Bpt ~n:3 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
   check Alcotest.bool "3 clients beat 1" true (three > 1.5 *. one)
 
 let test_fig10_point () =
-  let k = Multiclient.fig10_point ~kind:Runner.Bpt ~backends:2 ~preload:300 ~ops:300 in
+  let k = Multiclient.fig10_point ~kind:Catalogue.Bpt ~backends:2 ~preload:300 ~ops:300 in
   check Alcotest.bool "partitioned positive" true (k > 0.0)
 
 let contains s sub =

@@ -185,28 +185,30 @@ let test_mv_reader_consistency_under_churn () =
   (* Interleaved churn and reads via the scheduler. *)
   let wrng = Asym_util.Rng.create ~seed:3L in
   let wn = ref 0 and rn = ref 0 and inconsistent = ref 0 in
-  let wstep () =
-    if !wn >= 400 then false
-    else begin
+  let churn () =
+    while !wn < 400 do
       Mv.put wt ~key:(Int64.of_int (Asym_util.Rng.int wrng 64))
         ~value:(v (Printf.sprintf "v%d" !wn));
-      incr wn;
-      true
-    end
+      incr wn
+    done
   in
-  let rstep () =
+  let read_all () =
     (* Every key was inserted before churn began, so a read must never
-       miss — any version the reader lands on contains all 64 keys. *)
-    (match Mv.find rt ~key:(Int64.of_int (!rn mod 64)) with
-    | Some _ -> ()
-    | None -> incr inconsistent);
-    incr rn;
-    !rn < 400 || !wn < 400
+       miss — any version the reader lands on contains all 64 keys. The
+       reader keeps going until both sides have done 400 operations. *)
+    let again = ref true in
+    while !again do
+      (match Mv.find rt ~key:(Int64.of_int (!rn mod 64)) with
+      | Some _ -> ()
+      | None -> incr inconsistent);
+      incr rn;
+      again := !rn < 400 || !wn < 400
+    done
   in
   Sched.run
     [
-      Sched.stepper ~clock:(Client.clock writer) ~step:wstep;
-      Sched.stepper ~clock:(Client.clock reader) ~step:rstep;
+      Sched.client ~clock:(Client.clock writer) ~run:churn;
+      Sched.client ~clock:(Client.clock reader) ~run:read_all;
     ];
   check Alcotest.int "no reader ever missed a key" 0 !inconsistent
 
@@ -351,6 +353,23 @@ let test_multi_backend_partition_count_persisted () =
   let mb2 = Multi_backend.create ~name:"p" ~clock:clock2 ~backends ~attach () in
   check Alcotest.int "persisted count wins" 2 (Multi_backend.npartitions mb2)
 
+let test_multi_backend_rejects_bad_deployments () =
+  let backends = List.init 3 (fun i -> mk_small_backend (Printf.sprintf "bd%d" i)) in
+  let attach c i = Hash.attach ~nbuckets:16 c ~name:(Printf.sprintf "b.%d" i) in
+  let create ~name backends =
+    Multi_backend.create ~name ~clock:(Clock.create ~name:"fe" ()) ~backends ~attach ()
+  in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "no back-ends" (fun () -> create ~name:"none" []);
+  ignore (create ~name:"wide" backends);
+  (* The persisted map names 3 partitions; 2 back-ends cannot host them. *)
+  rejects "map wider than the back-ends" (fun () ->
+      create ~name:"wide" (List.filteri (fun i _ -> i < 2) backends))
+
 let test_multi_backend_crash_recover () =
   let backends = List.init 2 (fun i -> mk_small_backend (Printf.sprintf "rk%d" i)) in
   let clock = Clock.create ~name:"fe" () in
@@ -437,6 +456,8 @@ let () =
           Alcotest.test_case "put/get routing" `Quick test_multi_backend_put_get_route;
           Alcotest.test_case "partition count persisted" `Quick
             test_multi_backend_partition_count_persisted;
+          Alcotest.test_case "bad deployments rejected" `Quick
+            test_multi_backend_rejects_bad_deployments;
           Alcotest.test_case "crash + recover all partitions" `Quick
             test_multi_backend_crash_recover;
         ] );

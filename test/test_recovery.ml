@@ -451,6 +451,62 @@ let test_torn_oplog_entry_ignored () =
   check (Alcotest.option bytes_eq) "acked push survived" (Some (v "acked")) (Stack.peek t);
   check Alcotest.int "exactly one element" 1 (Stack.size t)
 
+(* -- op-log ring wrap ------------------------------------------------------------ *)
+
+exception Hung
+
+(* Run [f] under a host-time watchdog (a SIGALRM timer; OCaml delivers the
+   signal at the next allocation or poll point), so a call that never
+   returns fails the test instead of hanging the suite. *)
+let within secs f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
+  let arm v =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = v })
+  in
+  arm secs;
+  Fun.protect
+    ~finally:(fun () ->
+      arm 0.0;
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+let test_oplog_wrap_restart () =
+  (* 600 same-size records wrap a 4 KiB op-log ring many times, so the
+     bytes past the head hold whole records of the previous lap. *)
+  let bk =
+    Backend.create ~name:"bk" ~max_sessions:2 ~memlog_cap:(256 * 1024) ~oplog_cap:4096
+      ~slab_size:4096 ~capacity:(16 * 1024 * 1024) lat
+  in
+  let fe = mk_client ~cfg:(Client.rcb ~batch_size:16 ()) bk in
+  let t = Hash.attach ~nbuckets:64 fe ~name:"h" in
+  let n = 600 in
+  let value i = v (Printf.sprintf "value-%06d" i) in
+  for i = 0 to n - 1 do
+    Hash.put t ~key:(Int64.of_int i) ~value:(value i)
+  done;
+  (* The last, partial batch is never flushed: restart must find its
+     records in the wrapped ring and recovery must replay them. *)
+  let t =
+    match
+      within 1.0 (fun () ->
+          Backend.crash bk;
+          ignore (Backend.restart bk);
+          Client.reconnect_after_backend_restart fe;
+          let t = Hash.attach ~nbuckets:64 fe ~name:"h" in
+          let reg = Registry.create () in
+          Registry.register reg ~ds:(Hash.handle t).Types.id (Hash.replay t);
+          Registry.replay_all reg (Client.recover fe);
+          Client.flush fe;
+          t)
+    with
+    | t -> t
+    | exception Hung -> Alcotest.fail "restart after an op-log wrap did not return within 1 s"
+  in
+  for i = 0 to n - 1 do
+    check (Alcotest.option bytes_eq) (Printf.sprintf "key %d" i) (Some (value i))
+      (Hash.get t ~key:(Int64.of_int i))
+  done
+
 (* -- crash + replay for each remaining structure kind --------------------------- *)
 
 module Bpt = Pbptree.Make (Client)
@@ -615,7 +671,11 @@ let () =
       ( "locks",
         [ Alcotest.test_case "abandoned lock released" `Quick test_abandoned_lock_released_on_recovery ]
       );
-      ("oplog", [ Alcotest.test_case "torn op ignored" `Quick test_torn_oplog_entry_ignored ]);
+      ( "oplog",
+        [
+          Alcotest.test_case "torn op ignored" `Quick test_torn_oplog_entry_ignored;
+          Alcotest.test_case "restart after a ring wrap" `Quick test_oplog_wrap_restart;
+        ] );
       ( "crash-replay-per-structure",
         [
           Alcotest.test_case "bptree" `Quick test_crash_replay_bptree;

@@ -144,14 +144,12 @@ let test_sched_interleaves_by_time () =
     let clk = Clock.create ~name () in
     let left = ref n in
     ( clk,
-      Sched.stepper ~clock:clk ~step:(fun () ->
-          if !left = 0 then false
-          else begin
+      Sched.client ~clock:clk ~run:(fun () ->
+          while !left > 0 do
             decr left;
             log := (name, Clock.now clk) :: !log;
-            Clock.advance clk cost;
-            true
-          end) )
+            Clock.advance clk cost
+          done) )
   in
   let _, fast = mk "fast" 10 6 in
   let _, slow = mk "slow" 25 3 in
@@ -166,12 +164,13 @@ let test_sched_deadline () =
   let clk = Clock.create () in
   let steps = ref 0 in
   let c =
-    Sched.stepper ~clock:clk ~step:(fun () ->
-        incr steps;
-        Clock.advance clk 100;
-        true)
+    Sched.client ~clock:clk ~run:(fun () ->
+        while Clock.now clk < 1000 do
+          incr steps;
+          Clock.advance clk 100
+        done)
   in
-  Sched.run ~deadline:1000 [ c ];
+  Sched.run [ c ];
   check Alcotest.int "stopped at deadline" 10 !steps
 
 let test_sched_makespan () =
