@@ -42,7 +42,25 @@ let tests () =
   in
   let tx_bytes = Log.Tx.encode tx in
   let i = ref 0 in
+  (* A device whose first chunks all hold data, so the NVM tests below
+     measure the chunk-table indirection, not first-touch allocation. *)
+  let module Device = Asym_nvm.Device in
+  let cs = Device.chunk_size in
+  let dev = Device.create ~name:"micro.nvm" ~capacity:(1024 * 1024) lat in
+  Device.write dev ~addr:0 (Bytes.make (4 * cs) 'd');
+  let line = Bytes.make 64 'w' in
   [
+    (* NVM media: the sparse chunk table's cost per access. *)
+    Test.make ~name:"nvm/read-512B"
+      (Staged.stage (fun () -> ignore (Device.read dev ~addr:1024 ~len:512)));
+    Test.make ~name:"nvm/read-straddle"
+      (Staged.stage (fun () -> ignore (Device.read dev ~addr:(cs - 256) ~len:512)));
+    Test.make ~name:"nvm/write-64B"
+      (Staged.stage (fun () ->
+           incr i;
+           Device.write dev ~addr:((!i land 63) * 64) line));
+    Test.make ~name:"nvm/zero-4KiB"
+      (Staged.stage (fun () -> Device.zero dev ~addr:(2 * cs) ~len:cs));
     (* Table 2: the allocator fast path. *)
     Test.make ~name:"table2/two-tier-alloc-free"
       (Staged.stage (fun () ->

@@ -83,6 +83,11 @@ let repl t ~at ~addr b =
 let repl_uncharged t ~addr b =
   List.iter (fun m -> Device.write (Mirror.device m) ~addr b) t.mirror_list
 
+(* Zero a range on the back-end and, uncharged, on every mirror. *)
+let zero_everywhere t ~addr ~len =
+  Device.zero t.dev ~addr ~len;
+  List.iter (fun m -> Device.zero (Mirror.device m) ~addr ~len) t.mirror_list
+
 let write_word t ~at addr v =
   Device.write_u64 t.dev ~addr v;
   let b = Bytes.create 8 in
@@ -137,9 +142,7 @@ let create ?(name = "backend") ?(max_sessions = 8) ?(memlog_cap = 4 * 1024 * 102
   Device.write_u64 dev ~addr:layout.Layout.meta_base 0L;
   (* Mark all session slots unused. *)
   for i = 0 to max_sessions - 1 do
-    Device.write dev
-      ~addr:(Layout.session_slot layout ~session:i)
-      (Bytes.make Layout.session_slot_len '\000')
+    Device.zero dev ~addr:(Layout.session_slot layout ~session:i) ~len:Layout.session_slot_len
   done;
   {
     bname = name;
@@ -168,7 +171,7 @@ let attach_mirror t m =
   if Device.capacity (Mirror.device m) <> Device.capacity t.dev then
     invalid_arg "Backend.attach_mirror: capacity mismatch";
   (* Bring the mirror's image up to date with a full synchronization. *)
-  Device.load (Mirror.device m) (Device.snapshot t.dev);
+  Device.copy ~src:t.dev ~dst:(Mirror.device m);
   t.mirror_list <- m :: t.mirror_list
 
 (* -- ds registry -------------------------------------------------------- *)
@@ -269,10 +272,7 @@ let gc_oplog t ~at s =
    and never-written ring bytes zero is what lets a post-crash scan stop at
    the first Empty byte instead of tripping over stale records from a
    previous ring lap. *)
-let truncate_ring t ~ring_base ~off ~len =
-  let z = Bytes.make len '\000' in
-  Device.write t.dev ~addr:(ring_base + off) z;
-  repl_uncharged t ~addr:(ring_base + off) z
+let truncate_ring t ~ring_base ~off ~len = zero_everywhere t ~addr:(ring_base + off) ~len
 
 (* Read a record-sized window at a ring position, growing it if a record
    happens to be larger than the initial guess. Returns the scan result. *)
@@ -525,7 +525,7 @@ let alloc_meta t ~at len =
   else begin
     let addr = base + t.meta_cursor in
     t.meta_cursor <- t.meta_cursor + len;
-    Device.write t.dev ~addr (Bytes.make len '\000');
+    Device.zero t.dev ~addr ~len;
     write_word t ~at t.layout.Layout.meta_base (Int64.of_int t.meta_cursor);
     Some addr
   end
@@ -557,11 +557,9 @@ let fresh_session t ~at =
       persist_session t ~at s;
       (* Zero the session's rings so scans terminate at Empty. *)
       let mbase, mcap = Layout.memlog_region t.layout ~session:sid in
-      Device.write t.dev ~addr:mbase (Bytes.make mcap '\000');
       let obase, ocap = Layout.oplog_region t.layout ~session:sid in
-      Device.write t.dev ~addr:obase (Bytes.make ocap '\000');
-      repl_uncharged t ~addr:mbase (Bytes.make mcap '\000');
-      repl_uncharged t ~addr:obase (Bytes.make ocap '\000');
+      zero_everywhere t ~addr:mbase ~len:mcap;
+      zero_everywhere t ~addr:obase ~len:ocap;
       Some sid
 
 let handle_register_ds t ~at ds_name =

@@ -2,12 +2,29 @@ open Asym_sim
 
 type addr = int
 
+(* Sparse media: a table of fixed-size chunks. A chunk nothing non-zero
+   has ever been written to is [zero_chunk], shared by every device and
+   never written; a chunk gets its own buffer on its first non-zero write
+   and keeps it (zeroing fills it in place). *)
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let zero_chunk = Bytes.make chunk_size '\000'
+
+(* Pre-image of the last mutation. A range whose chunks were all untouched
+   held zeros, so nothing is saved for it. *)
+type pre_image = Zeros | Saved of bytes
+
 type t = {
   name : string;
   capacity : int;
-  media : bytes;
+  chunks : bytes array;
   lat : Latency.t;
-  mutable last_write : (addr * bytes) option;  (* position and pre-image of last write *)
+  mutable resident : int;  (* chunks with their own buffer *)
+  (* The last write, for [tear_last_write]; [last_len < 0]: none. *)
+  mutable last_addr : addr;
+  mutable last_len : int;
+  mutable last_pre : pre_image;
   mutable reads : int;
   mutable writes : int;
   mutable bytes_written : int;
@@ -18,9 +35,12 @@ let create ?(name = "nvm") ~capacity lat =
   {
     name;
     capacity;
-    media = Bytes.make capacity '\000';
+    chunks = Array.make ((capacity + chunk_mask) lsr chunk_bits) zero_chunk;
     lat;
-    last_write = None;
+    resident = 0;
+    last_addr = 0;
+    last_len = -1;
+    last_pre = Zeros;
     reads = 0;
     writes = 0;
     bytes_written = 0;
@@ -43,80 +63,202 @@ let obs_media t ~op ~len =
     Asym_obs.Registry.add ~labels "nvm.media_bytes" len
   end
 
+(* -- chunk table -------------------------------------------------------- *)
+
+(* Chunk [i]'s own buffer, allocated (zero-filled) if it has none yet. *)
+let owned t i =
+  let c = t.chunks.(i) in
+  if c != zero_chunk then c
+  else begin
+    let c = Bytes.make chunk_size '\000' in
+    t.chunks.(i) <- c;
+    t.resident <- t.resident + 1;
+    c
+  end
+
+let all_zero b pos len =
+  let i = ref pos and stop = pos + len in
+  while !i < stop && Bytes.unsafe_get b !i = '\000' do
+    incr i
+  done;
+  !i >= stop
+
+(* Call [f chunk offset n pos] for each piece of [addr, addr + len) that
+   lies in one chunk; [pos] is the piece's offset within the range. *)
+let pieces addr len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land chunk_mask in
+    let n = min (chunk_size - off) (len - !pos) in
+    f (a lsr chunk_bits) off n !pos;
+    pos := !pos + n
+  done
+
+let untouched t addr len =
+  let i = ref (addr lsr chunk_bits) and last = (addr + len - 1) asr chunk_bits in
+  while !i <= last && t.chunks.(!i) == zero_chunk do
+    incr i
+  done;
+  !i > last
+
+let get t addr len =
+  let off = addr land chunk_mask in
+  if len > 0 && off + len <= chunk_size then Bytes.sub t.chunks.(addr lsr chunk_bits) off len
+  else begin
+    let b = Bytes.create len in
+    pieces addr len (fun i off n pos -> Bytes.blit t.chunks.(i) off b pos n);
+    b
+  end
+
+(* Store [len] bytes of [src] from [src_pos] at [addr]. An untouched chunk
+   is allocated only if the bytes bound for it are not all zero. *)
+let put_piece t src src_pos i off n =
+  let c = t.chunks.(i) in
+  if c != zero_chunk then Bytes.blit src src_pos c off n
+  else if not (all_zero src src_pos n) then Bytes.blit src src_pos (owned t i) off n
+
+let put t src src_pos addr len =
+  let off = addr land chunk_mask in
+  if len > 0 && off + len <= chunk_size then put_piece t src src_pos (addr lsr chunk_bits) off len
+  else pieces addr len (fun i off n pos -> put_piece t src (src_pos + pos) i off n)
+
+let fill_zero t addr len =
+  pieces addr len (fun i off n _ ->
+      let c = t.chunks.(i) in
+      if c != zero_chunk then Bytes.fill c off n '\000')
+
+let get_u64 t addr =
+  let off = addr land chunk_mask in
+  if off <= chunk_size - 8 then Bytes.get_int64_le t.chunks.(addr lsr chunk_bits) off
+  else Bytes.get_int64_le (get t addr 8) 0
+
+let set_u64 t addr v =
+  let off = addr land chunk_mask in
+  if off <= chunk_size - 8 then begin
+    let i = addr lsr chunk_bits in
+    if t.chunks.(i) != zero_chunk || not (Int64.equal v 0L) then
+      Bytes.set_int64_le (owned t i) off v
+  end
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    put t b 0 addr 8
+  end
+
+(* -- mutation bookkeeping ----------------------------------------------- *)
+
+let save_pre_image t addr len =
+  t.last_addr <- addr;
+  t.last_len <- len;
+  t.last_pre <- (if untouched t addr len then Zeros else Saved (get t addr len))
+
+let count_write t len =
+  t.writes <- t.writes + 1;
+  t.bytes_written <- t.bytes_written + len;
+  obs_media t ~op:"write" ~len
+
+(* -- access ------------------------------------------------------------- *)
+
 let read t ~addr ~len =
   check t addr len;
   t.reads <- t.reads + 1;
   obs_media t ~op:"read" ~len;
-  Bytes.sub t.media addr len
+  get t addr len
 
 let read_u64 t ~addr =
   check t addr 8;
   t.reads <- t.reads + 1;
   obs_media t ~op:"read" ~len:8;
-  Bytes.get_int64_le t.media addr
+  get_u64 t addr
 
 let write t ~addr b =
   let len = Bytes.length b in
   check t addr len;
-  t.last_write <- Some (addr, Bytes.sub t.media addr len);
-  Bytes.blit b 0 t.media addr len;
-  t.writes <- t.writes + 1;
-  t.bytes_written <- t.bytes_written + len;
-  obs_media t ~op:"write" ~len;
+  save_pre_image t addr len;
+  put t b 0 addr len;
+  count_write t len;
+  Crashpoint.hit ~site:"nvm.write"
+
+let zero t ~addr ~len =
+  check t addr len;
+  save_pre_image t addr len;
+  fill_zero t addr len;
+  count_write t len;
   Crashpoint.hit ~site:"nvm.write"
 
 let write_u64 t ~addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write t ~addr b
+  check t addr 8;
+  save_pre_image t addr 8;
+  set_u64 t addr v;
+  count_write t 8;
+  Crashpoint.hit ~site:"nvm.write"
 
 let compare_and_swap t ~addr ~expected ~desired =
   check t addr 8;
-  let old = Bytes.get_int64_le t.media addr in
-  if old = expected then begin
-    t.last_write <- Some (addr, Bytes.sub t.media addr 8);
-    Bytes.set_int64_le t.media addr desired;
-    t.writes <- t.writes + 1;
-    t.bytes_written <- t.bytes_written + 8;
-    obs_media t ~op:"write" ~len:8;
+  let old = get_u64 t addr in
+  if Int64.equal old expected then begin
+    save_pre_image t addr 8;
+    set_u64 t addr desired;
+    count_write t 8;
     Crashpoint.hit ~site:"nvm.cas"
   end;
   old
 
 let fetch_add t ~addr delta =
   check t addr 8;
-  let old = Bytes.get_int64_le t.media addr in
-  t.last_write <- Some (addr, Bytes.sub t.media addr 8);
-  Bytes.set_int64_le t.media addr (Int64.add old delta);
-  t.writes <- t.writes + 1;
-  t.bytes_written <- t.bytes_written + 8;
-  obs_media t ~op:"write" ~len:8;
+  let old = get_u64 t addr in
+  save_pre_image t addr 8;
+  set_u64 t addr (Int64.add old delta);
+  count_write t 8;
   Crashpoint.hit ~site:"nvm.fetch_add";
   old
 
 let read_cost t ~len = Latency.nvm_read_cost t.lat len
 let write_cost t ~len = Latency.nvm_write_cost t.lat len
 
-let tear_last_write t ~keep =
-  match t.last_write with
-  | None -> ()
-  | Some (addr, pre) ->
-      let len = Bytes.length pre in
-      let keep = max 0 (min keep len) in
-      (* Revert the suffix past [keep] to the pre-image. *)
-      Bytes.blit pre keep t.media (addr + keep) (len - keep);
-      t.last_write <- None;
-      (* The device has no clock; the tracer anchors the instant at the
-         latest simulated timestamp it has seen. *)
-      Asym_obs.Span.instant ~cat:"fault" ~track:t.name "nvm.torn_write"
+let forget_last_write t =
+  t.last_len <- -1;
+  t.last_pre <- Zeros
 
-let crash_restart t = t.last_write <- None
-let last_write_len t = Option.map (fun (_, pre) -> Bytes.length pre) t.last_write
+let tear_last_write t ~keep =
+  if t.last_len >= 0 then begin
+    let len = t.last_len in
+    let keep = max 0 (min keep len) in
+    (* Revert the suffix past [keep] to the pre-image. *)
+    (match t.last_pre with
+    | Zeros -> fill_zero t (t.last_addr + keep) (len - keep)
+    | Saved pre -> put t pre keep (t.last_addr + keep) (len - keep));
+    forget_last_write t;
+    (* The device has no clock; the tracer anchors the instant at the
+       latest simulated timestamp it has seen. *)
+    Asym_obs.Span.instant ~cat:"fault" ~track:t.name "nvm.torn_write"
+  end
+
+let crash_restart t = forget_last_write t
+let last_write_len t = if t.last_len < 0 then None else Some t.last_len
 let reads_performed t = t.reads
 let writes_performed t = t.writes
 let bytes_written t = t.bytes_written
-let snapshot t = Bytes.copy t.media
+let resident_bytes t = t.resident * chunk_size
 
-let load t b =
-  if Bytes.length b <> t.capacity then invalid_arg "Nvm.Device.load: capacity mismatch";
-  Bytes.blit b 0 t.media 0 t.capacity
+let copy ~src ~dst =
+  if src.capacity <> dst.capacity then invalid_arg "Nvm.Device.copy: capacity mismatch";
+  Array.iteri
+    (fun i c ->
+      if c != zero_chunk then Bytes.blit c 0 (owned dst i) 0 chunk_size
+      else
+        let d = dst.chunks.(i) in
+        if d != zero_chunk then Bytes.fill d 0 chunk_size '\000')
+    src.chunks
+
+let equal a b =
+  a.capacity = b.capacity
+  &&
+  let rec go i =
+    i >= Array.length a.chunks
+    || (let x = a.chunks.(i) and y = b.chunks.(i) in
+        x == y || Bytes.equal x y)
+       && go (i + 1)
+  in
+  go 0

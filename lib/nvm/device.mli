@@ -11,7 +11,15 @@
     The device never loses completed writes across {!crash_restart}; only
     the torn suffix (if injected) differs. Media latencies are exposed as
     cost functions; charging them to the right clock is the caller's
-    (NIC's / backend CPU's) job. *)
+    (NIC's / backend CPU's) job.
+
+    The media are sparse: a table of {!chunk_size}-byte chunks in which
+    every chunk that never held a non-zero byte shares one all-zero
+    chunk. A chunk gets its own buffer on its first non-zero write and
+    keeps it; zeroing it fills it in place. Host memory therefore follows
+    the bytes a run touches, not the simulated capacity. None of this is
+    visible to the simulation: reads, counters, costs and tears behave as
+    on a flat zero-filled image. *)
 
 type t
 
@@ -24,10 +32,18 @@ val name : t -> string
 val capacity : t -> int
 val latency : t -> Asym_sim.Latency.t
 
+val chunk_size : int
+(** Granularity of the sparse media, 4 KiB. *)
+
 val read : t -> addr:addr -> len:int -> bytes
 val read_u64 : t -> addr:addr -> int64
 val write : t -> addr:addr -> bytes -> unit
 val write_u64 : t -> addr:addr -> int64 -> unit
+
+val zero : t -> addr:addr -> len:int -> unit
+(** [zero t ~addr ~len] is [write t ~addr (Bytes.make len '\000')] without
+    the buffer: it counts one write of [len] bytes, is a ["nvm.write"]
+    crash point and is tearable like any write. *)
 
 val compare_and_swap : t -> addr:addr -> expected:int64 -> desired:int64 -> int64
 (** Atomic 8-byte CAS; returns the previous value. *)
@@ -56,8 +72,14 @@ val reads_performed : t -> int
 val writes_performed : t -> int
 val bytes_written : t -> int
 
-val snapshot : t -> bytes
-(** Copy of the full media contents (for mirror promotion and tests). *)
+val resident_bytes : t -> int
+(** Host memory held by chunks with their own buffer. *)
 
-val load : t -> bytes -> unit
-(** Overwrite media contents from a snapshot of the same capacity. *)
+val copy : src:t -> dst:t -> unit
+(** Make [dst]'s contents equal to [src]'s (mirror synchronization and
+    promotion), moving only the chunks either side has touched. Counters
+    and tear bookkeeping are left alone. Raises [Invalid_argument] if the
+    capacities differ. *)
+
+val equal : t -> t -> bool
+(** Same capacity and same contents. *)

@@ -167,9 +167,10 @@ let round_trip t ~op ~wire ~service ~media =
   obs_verb t ~op ~wire ~start ~dur;
   start + dur + media
 
-(* Validate before charging: an optimistic reader chasing a pointer that a
-   concurrent writer reclaimed can ask for absurd addresses or lengths;
-   the NIC rejects the work request instead of overflowing cost math. *)
+(* Every verb validates before charging: an optimistic reader chasing a
+   pointer that a concurrent writer reclaimed can ask for absurd addresses
+   or lengths; the NIC rejects the work request before it books a NIC
+   slot, advances the client clock or counts a verb. *)
 let check_bounds t ~addr ~len =
   if len < 0 || addr < 0 || addr + len > Asym_nvm.Device.capacity t.remote_mem then
     invalid_arg
@@ -219,6 +220,7 @@ let write ?wire_len t ~addr b =
    period still surfaces through the synchronizing round trip. *)
 let write_unsignaled t ~addr b =
   check_alive t;
+  check_bounds t ~addr ~len:(Bytes.length b);
   Asym_nvm.Crashpoint.in_verb "rdma.write_unsignaled" @@ fun () ->
   let len = Bytes.length b in
   let service = Latency.rdma_payload_ns t.lat len in
@@ -248,6 +250,7 @@ let atomic t ~op ~media =
 
 let compare_and_swap t ~addr ~expected ~desired =
   check_alive t;
+  check_bounds t ~addr ~len:8;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"cas"
   | Deliver d -> inject_delay t d);
@@ -266,6 +269,7 @@ let compare_and_swap t ~addr ~expected ~desired =
    per-operation verbs, as the paper does. *)
 let lock_probe t ~addr =
   check_alive t;
+  check_bounds t ~addr ~len:8;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"lock_cas"
   | Deliver d -> inject_delay t d);
@@ -279,6 +283,7 @@ let lock_probe t ~addr =
 
 let fetch_add t ~addr delta =
   check_alive t;
+  check_bounds t ~addr ~len:8;
   (match fate t ~atomic:true with
   | Lost _ -> lose t ~op:"fetch_add"
   | Deliver d -> inject_delay t d);

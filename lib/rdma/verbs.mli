@@ -84,6 +84,10 @@ val verb_timeouts : conn -> int
 val injected_delays : conn -> int
 (** Delivered verbs that suffered an injected fabric delay. *)
 
+(** Every verb raises [Invalid_argument] on a region outside the remote
+    device (8 bytes for the atomics) before it charges anything: no NIC
+    slot, no client time, no verb or wire count. *)
+
 val read : conn -> addr:int -> len:int -> bytes
 (** RDMA_Read: one round trip, blocks the client. *)
 

@@ -98,6 +98,40 @@ let test_larger_payload_costs_more () =
   ignore (Verbs.read conn2 ~addr:0 ~len:16384);
   check Alcotest.bool "16K read slower than 64B" true (Clock.now clk2 > Clock.now clk1)
 
+(* An out-of-range verb is rejected before it books the NIC, advances the
+   client clock or counts: probed at addr 4092, len 8, on a 4 KiB device. *)
+let test_out_of_range_charges_nothing () =
+  let dev = Device.create ~name:"small" ~capacity:4096 lat in
+  let nic = Timeline.create ~name:"nic" () in
+  let clk = Clock.create ~name:"client" () in
+  let conn = Verbs.connect ~client:clk ~remote_nic:nic ~remote_mem:dev lat in
+  Verbs.write conn ~addr:0 (Bytes.create 64);
+  let addr = 4092 in
+  let verbs =
+    [
+      ("read", fun () -> ignore (Verbs.read conn ~addr ~len:8));
+      ("write", fun () -> Verbs.write conn ~addr (Bytes.create 8));
+      ("write_unsignaled", fun () -> Verbs.write_unsignaled conn ~addr (Bytes.create 8));
+      ("cas", fun () -> ignore (Verbs.compare_and_swap conn ~addr ~expected:0L ~desired:1L));
+      ("fetch_add", fun () -> ignore (Verbs.fetch_add conn ~addr 1L));
+      ("lock_probe", fun () -> ignore (Verbs.lock_probe conn ~addr));
+    ]
+  in
+  List.iter
+    (fun (name, verb) ->
+      let ops = Verbs.ops_posted conn
+      and wire = Verbs.bytes_on_wire conn
+      and now = Clock.now clk
+      and free = Timeline.free_at nic in
+      (match verb () with
+      | () -> Alcotest.failf "%s: out-of-range verb accepted" name
+      | exception Invalid_argument _ -> ());
+      check Alcotest.int (name ^ " ops") ops (Verbs.ops_posted conn);
+      check Alcotest.int (name ^ " wire") wire (Verbs.bytes_on_wire conn);
+      check Alcotest.int (name ^ " clock") now (Clock.now clk);
+      check Alcotest.int (name ^ " nic free_at") free (Timeline.free_at nic))
+    verbs
+
 let () =
   Alcotest.run "rdma"
     [
@@ -114,5 +148,7 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "wire_len override" `Quick test_wire_len_override;
           Alcotest.test_case "payload scaling" `Quick test_larger_payload_costs_more;
+          Alcotest.test_case "out of range charges nothing" `Quick
+            test_out_of_range_charges_nothing;
         ] );
     ]

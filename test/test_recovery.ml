@@ -197,11 +197,10 @@ let test_mirror_image_tracks_backend () =
   (* The replicated regions (everything except transient lock words and
      sequence numbers in the meta heap) must match byte for byte. *)
   let l = Backend.layout bk in
-  let a = Asym_nvm.Device.snapshot (Backend.device bk) in
-  let b = Asym_nvm.Device.snapshot (Mirror.device m1) in
   let region name lo len =
+    let image d = Asym_nvm.Device.read d ~addr:lo ~len in
     check Alcotest.bool (name ^ " replicated") true
-      (Bytes.sub a lo len = Bytes.sub b lo len)
+      (Bytes.equal (image (Backend.device bk)) (image (Mirror.device m1)))
   in
   region "naming" l.Layout.naming_base l.Layout.naming_len;
   region "bitmap" l.Layout.bitmap_base l.Layout.bitmap_len;
@@ -627,10 +626,51 @@ let prop_crash_recover_consistent =
       Client.flush fe;
       Hashtbl.fold (fun k value acc -> acc && Hash.get t ~key:k = Some value) model true)
 
+(* -- Host footprint ------------------------------------------------------ *)
+
+(* A 1 GiB back-end with an NVM mirror, two sessions open: the sparse media
+   must keep every step (device creation, mirror sync, ring zeroing) far
+   below the simulated capacity. Catches any full-capacity buffer. *)
+let test_footprint_follows_touched_bytes () =
+  let bound = 32 * 1024 * 1024 in
+  let before = Gc.allocated_bytes () in
+  let capacity = 1 lsl 30 in
+  let bk = Backend.create ~name:"big" ~capacity lat in
+  let m = Mirror.create ~name:"big.m" ~kind:Mirror.Nvm_backed ~capacity lat in
+  Backend.attach_mirror bk m;
+  let open_session name =
+    let conn =
+      Asym_rdma.Verbs.connect ~client:(Clock.create ~name ()) ~remote_nic:(Backend.nic bk)
+        ~remote_mem:(Backend.device bk) lat
+    in
+    match
+      Backend.rpc bk ~conn ~session:None (Rpc_msg.Open_session { client_name = name; reuse = None })
+    with
+    | Rpc_msg.R_session sid -> sid
+    | _ -> Alcotest.fail "open_session refused"
+  in
+  let s0 = open_session "fe0" in
+  let s1 = open_session "fe1" in
+  check Alcotest.(list int) "two sessions" [ 0; 1 ] [ s0; s1 ];
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.bool (Printf.sprintf "allocated %.0f B < 32 MiB" allocated) true
+    (allocated < float_of_int bound);
+  List.iter
+    (fun d ->
+      let r = Asym_nvm.Device.resident_bytes d in
+      check Alcotest.bool (Printf.sprintf "%s resident %d B < 32 MiB" (Asym_nvm.Device.name d) r)
+        true (r < bound))
+    [ Backend.device bk; Mirror.device m ]
+
 let () =
   Alcotest.run "recovery"
     [
       ("case1-reader", [ Alcotest.test_case "reader crash" `Quick test_case1_reader_crash ]);
+      ( "footprint",
+        [
+          Alcotest.test_case "1 GiB rig < 32 MiB" `Quick
+            test_footprint_follows_touched_bytes;
+        ] );
       ( "case2-writer",
         [
           Alcotest.test_case "all flushed" `Quick test_case2a_writer_crash_all_flushed;
