@@ -1,12 +1,19 @@
 (* Wall-clock micro-benchmarks of the primitives each experiment leans on,
    one Bechamel test per table/figure. These measure the real OCaml
-   implementation cost (the experiment tables report virtual time). *)
+   implementation cost, time and minor-heap words per run (the experiment
+   tables report virtual time). *)
 
 open Bechamel
 open Toolkit
 open Asym_core
 
 let lat = Asym_sim.Latency.default
+
+(* A transaction's frame in a buffer of its own. *)
+let encode_tx tx =
+  let b = Bytes.create (Log.Tx.size tx) in
+  ignore (Log.Tx.encode_into tx b ~pos:0);
+  b
 
 let setup () =
   let bk =
@@ -18,7 +25,7 @@ let setup () =
   (bk, c)
 
 let tests () =
-  let _bk, c = setup () in
+  let bk, c = setup () in
   let h = Client.register_ds c "micro" in
   let addr = Client.malloc c 64 in
   ignore (Client.op_begin c ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
@@ -40,7 +47,19 @@ let tests () =
       entries = List.init 8 (fun i -> Log.Mem_entry.make ~addr:(i * 64) (Bytes.make 64 'e'));
     }
   in
-  let tx_bytes = Log.Tx.encode tx in
+  let tx_bytes = encode_tx tx in
+  let op =
+    let params = Asym_structs.Params.of_kv 7L (Bytes.make 64 'p') in
+    { Log.Op_entry.ds = 1; opnum = 7L; optype = 1; params }
+  in
+  (* A second session whose batch is drained by its own flush. *)
+  let drainer =
+    Client.connect ~name:"drain" (Client.rcb ~batch_size:64 ()) bk
+      ~clock:(Asym_sim.Clock.create ~name:"drain" ())
+  in
+  let dh = Client.register_ds drainer "micro.drain" in
+  let daddr = Client.malloc drainer 64 in
+  let dval = Bytes.make 64 'r' in
   let i = ref 0 in
   (* A device whose first chunks all hold data, so the NVM tests below
      measure the chunk-table indirection, not first-touch allocation. *)
@@ -89,27 +108,63 @@ let tests () =
     (* §4.2: transaction encode + scan roundtrip. *)
     Test.make ~name:"tx/encode-scan"
       (Staged.stage (fun () ->
-           match Log.Tx.scan (Log.Tx.encode tx) ~pos:0 with
+           match Log.Tx.scan (encode_tx tx) ~pos:0 with
            | Log.Tx.Record _ -> ()
            | _ -> assert false));
+    (* §4.3: one operation-log frame. *)
+    Test.make ~name:"log/op-encode" (Staged.stage (fun () -> ignore (Log.Op_entry.encode op)));
+    (* §8.3: a logged B+Tree insert or update through the cache. *)
+    Test.make ~name:"bpt/put"
+      (Staged.stage (fun () ->
+           let key = Int64.of_int (Asym_util.Rng.int rng 100_000) in
+           Bpt.put bpt ~key ~value:(Bytes.make 64 'v')));
+    (* §4.2: 64 one-write operations, then the flush that the back-end
+       replays them from. *)
+    Test.make ~name:"replay/drain-64-ops"
+      (Staged.stage (fun () ->
+           for _ = 1 to 64 do
+             ignore (Client.op_begin drainer ~ds:dh.Types.id ~optype:1 ~params:Bytes.empty);
+             Client.write drainer ~ds:dh.Types.id ~addr:daddr dval;
+             Client.op_end drainer ~ds:dh.Types.id
+           done;
+           Client.flush drainer));
     (* §7.2: torn-tail scan of an intact record. *)
     Test.make ~name:"recovery/tx-scan" (Staged.stage (fun () -> ignore (Log.Tx.scan tx_bytes ~pos:0)));
   ]
 
+(* Minor-heap words. Bechamel's own [minor_allocated] reads
+   [Gc.quick_stat], which OCaml 5 updates only at minor collections, so it
+   reads 0 for a run that fits in the minor heap; [Gc.minor_words] is
+   exact. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "w"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_words = Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
   let raw =
     Benchmark.all cfg instances (Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ()))
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "@.== Bechamel micro-benchmarks (wall-clock ns/op) ==@.";
+  let ns = Analyze.all ols Instance.monotonic_clock raw in
+  let words = Analyze.all ols minor_words raw in
+  let estimate results name =
+    match Analyze.OLS.estimates (Hashtbl.find results name) with
+    | Some [ est ] -> Printf.sprintf "%10.1f" est
+    | _ -> Printf.sprintf "%10s" "-"
+  in
+  Format.printf "@.== Bechamel micro-benchmarks (wall-clock ns/op, minor words/op) ==@.";
   Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Format.printf "%-28s %10.1f ns@." name est
-      | _ -> Format.printf "%-28s (no estimate)@." name)
-    results
+    (fun name _ ->
+      Format.printf "%-28s %s ns %s w@." name (estimate ns name) (estimate words name))
+    ns

@@ -274,21 +274,29 @@ let gc_oplog t ~at s =
    previous ring lap. *)
 let truncate_ring t ~ring_base ~off ~len = zero_everywhere t ~addr:(ring_base + off) ~len
 
-(* Read a record-sized window at a ring position, growing it if a record
-   happens to be larger than the initial guess. Returns the scan result. *)
-let scan_at t ~ring_base ~cap ~pos scanner =
+(* Scan the record at a ring position through a window of [len] bytes,
+   growing it x4 while the record may run past the window (the scan says
+   [torn]) and the ring has bytes left. The result does not depend on the
+   first window's size, only the number of bytes read does. Returns the
+   scan result and the window. *)
+let scan_at t ~ring_base ~cap ~pos ~len ~torn scan =
   let rec go len =
     let len = min len (cap - pos) in
-    let chunk = Device.read t.dev ~addr:(ring_base + pos) ~len in
-    match scanner chunk with
-    | `Torn when len < cap - pos -> go (len * 4)
-    | r -> (r, chunk)
+    let window = Device.read t.dev ~addr:(ring_base + pos) ~len in
+    match scan window ~pos:0 with
+    | r when r = torn && len < cap - pos -> go (len * 4)
+    | r -> (r, window)
   in
-  go 16_384
+  go len
+
+(* First window when no better size is known: a small record's worth. *)
+let min_window = 64
 
 (* Replay every complete transaction sitting past the session's LPN, until
    the scan hits the zeroed frontier (Empty) or a torn record. Consumed
-   bytes are zeroed; LPN/OPN are persisted. Returns [true] on a torn tail. *)
+   bytes are zeroed; LPN/OPN are persisted. Returns [true] on a torn tail.
+   The front-end's noted head bounds what it has appended, so the first
+   window is exactly the appended bytes. *)
 let replay_pending t ~at s =
   let ring_base, cap = Layout.memlog_region t.layout ~session:s.sid in
   let time = ref at in
@@ -296,17 +304,13 @@ let replay_pending t ~at s =
   let continue_ = ref true in
   while !continue_ do
     let pos = s.lpn in
-    let result, chunk =
-      scan_at t ~ring_base ~cap ~pos (fun chunk ->
-          match Log.Tx.scan chunk ~pos:0 with
-          | Log.Tx.Record (tx, consumed) -> `Record (tx, consumed)
-          | Log.Tx.Wrap -> `Wrap
-          | Log.Tx.Empty -> `Empty
-          | Log.Tx.Torn -> `Torn)
+    let len = if s.memlog_head > pos then s.memlog_head - pos else min_window in
+    let result, window =
+      scan_at t ~ring_base ~cap ~pos ~len ~torn:Log.Tx.Torn Log.Tx.scan
     in
     match result with
-    | `Record (tx, consumed) ->
-        let raw = Bytes.sub chunk 0 consumed in
+    | Log.Tx.Record (tx, consumed) ->
+        let raw = if consumed = len then window else Bytes.sub window 0 consumed in
         (* Dedup check: a frame at or below the covered OPN is a
            retransmission of an already-applied transaction (a client
            retry after a lost ack, or a re-drain racing a reconnect).
@@ -324,11 +328,11 @@ let replay_pending t ~at s =
         assert (Int64.compare s.opn_covered covered_before >= 0);
         truncate_ring t ~ring_base ~off:pos ~len:consumed;
         s.lpn <- (pos + consumed) mod cap
-    | `Wrap ->
+    | Log.Tx.Wrap ->
         truncate_ring t ~ring_base ~off:pos ~len:1;
         s.lpn <- 0
-    | `Empty -> continue_ := false
-    | `Torn ->
+    | Log.Tx.Empty -> continue_ := false
+    | Log.Tx.Torn ->
         torn := true;
         Asym_obs.Span.instant ~cat:"fault" ~track:t.bname ~ts:!time "log.torn_tail";
         continue_ := false
@@ -388,28 +392,26 @@ let oplog_ring t ~session = Layout.oplog_region t.layout ~session
    and never zeroes consumed bytes, so once the ring has wrapped the bytes
    past the head still hold the previous lap's records: the first record
    whose opnum does not exceed its predecessor's (or the covered OPN) is
-   such a stale record, and the scan stops there. Returns the records, the
-   head, and the next fresh opnum. *)
+   such a stale record, and the scan stops there. Each record is read
+   through its own window, so the scan reads the live records and the one
+   that ends them, not the ring. Returns the records, the head, and the
+   next fresh opnum. *)
 let scan_oplog t s =
   let ring_base, cap = Layout.oplog_region t.layout ~session:s.sid in
-  let ring = Device.read t.dev ~addr:ring_base ~len:cap in
-  let records = ref [] in
-  let pos = ref s.oplog_tail in
-  let head = ref s.oplog_tail in
-  let last = ref s.opn_covered in
-  let continue_ = ref true in
-  while !continue_ do
-    match Log.Op_entry.scan ring ~pos:!pos with
-    | Log.Op_entry.Record (op, consumed) when Int64.compare op.Log.Op_entry.opnum !last > 0 ->
-        records := (op, !pos) :: !records;
-        last := op.Log.Op_entry.opnum;
-        pos := !pos + consumed;
-        head := !pos
-    | Log.Op_entry.Wrap when !pos > 0 -> pos := 0
+  let rec go ~pos ~head ~last records =
+    match
+      fst
+        (scan_at t ~ring_base ~cap ~pos ~len:min_window ~torn:Log.Op_entry.Torn
+           Log.Op_entry.scan)
+    with
+    | Log.Op_entry.Record (op, consumed) when Int64.compare op.Log.Op_entry.opnum last > 0 ->
+        let pos = pos + consumed in
+        go ~pos ~head:pos ~last:op.Log.Op_entry.opnum ((op, pos - consumed) :: records)
+    | Log.Op_entry.Wrap when pos > 0 -> go ~pos:0 ~head ~last records
     | Log.Op_entry.Record _ | Log.Op_entry.Wrap | Log.Op_entry.Empty | Log.Op_entry.Torn ->
-        continue_ := false
-  done;
-  (List.rev !records, !head, Int64.succ !last)
+        (List.rev records, head, Int64.succ last)
+  in
+  go ~pos:s.oplog_tail ~head:s.oplog_tail ~last:s.opn_covered []
 
 let unreplayed_ops t ~session =
   check_alive t;

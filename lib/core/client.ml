@@ -539,39 +539,29 @@ let flush t =
        reallocated by another within the same batch is rewritten in
        chronological order during replay. *)
     let op_hi = Int64.pred t.next_opnum in
+    (* [pending] is newest first, so prepending while folding yields the
+       runs, and each run's entries, in chronological order. *)
     let txs =
-      let runs =
+      match
         List.fold_left
           (fun acc (ds, entry) ->
             match acc with
-            | (run_ds, entries) :: rest when run_ds = ds ->
-                (run_ds, entry :: entries) :: rest
-            | _ -> (ds, [ entry ]) :: acc)
-          []
-          (List.rev t.pending)
-      in
-      match runs with
+            | (tx : Log.Tx.t) :: rest when tx.ds = ds ->
+                { tx with entries = entry :: tx.entries } :: rest
+            | _ -> { Log.Tx.ds; op_hi; entries = [ entry ] } :: acc)
+          [] t.pending
+      with
       | [] ->
           (* No memory logs buffered (e.g. a batch fully annulled by the
              §8.1 optimization): still commit an empty transaction so the
              OPN advances past the covered operations. *)
           [ { Log.Tx.ds = 0; op_hi; entries = [] } ]
-      | runs ->
-          List.rev_map
-            (fun (ds, entries) -> { Log.Tx.ds; op_hi; entries = List.rev entries })
-            runs
+      | runs -> runs
     in
-    let encoded = List.map Log.Tx.encode txs in
-    let total = List.fold_left (fun acc b -> acc + Bytes.length b) 0 encoded in
+    let total = List.fold_left (fun acc tx -> acc + Log.Tx.size tx) 0 txs in
     let wire = List.fold_left (fun acc tx -> acc + Log.Tx.wire_size tx) 0 txs in
     let payload = Bytes.create total in
-    let _ =
-      List.fold_left
-        (fun off b ->
-          Bytes.blit b 0 payload off (Bytes.length b);
-          off + Bytes.length b)
-        0 encoded
-    in
+    ignore (List.fold_left (fun pos tx -> Log.Tx.encode_into tx payload ~pos) 0 txs);
     let ring_base, cap = Backend.memlog_ring t.bk ~session:t.sid in
     if total + 1 > cap then failwith (t.cname ^ ": transaction exceeds memory-log ring");
     if t.memlog_head + total + 1 > cap then begin

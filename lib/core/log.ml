@@ -23,37 +23,47 @@ end
 module Tx = struct
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
 
-  let encode t =
-    let e = Codec.Enc.create ~capacity:256 () in
-    Codec.Enc.u8 e tag_tx;
-    Codec.Enc.u32i e t.ds;
-    Codec.Enc.u64 e t.op_hi;
-    Codec.Enc.u32i e (List.length t.entries);
-    List.iter
-      (fun { Mem_entry.addr; value; from_op } ->
-        (* A pointer entry must carry the op number it points at — the
-           old encoding dropped it and [scan] fabricated [Some 0L]. *)
-        (match from_op with
-        | Some opn ->
-            Codec.Enc.u8 e flag_op_pointer;
-            Codec.Enc.u64 e opn
-        | None -> Codec.Enc.u8 e flag_inline);
-        Codec.Enc.u64i e addr;
-        Codec.Enc.u32i e (Bytes.length value);
-        Codec.Enc.bytes e value)
-      t.entries;
-    Codec.Enc.u8 e tag_commit;
-    let body = Codec.Enc.to_bytes e in
-    let crc = Crc32.digest_bytes body in
-    let e2 = Codec.Enc.create ~capacity:(Bytes.length body + 4) () in
-    Codec.Enc.bytes e2 body;
-    Codec.Enc.u32 e2 crc;
-    let raw = Codec.Enc.to_bytes e2 in
+  (* Stored frame: header (1+4+8+4), per entry (1 [+8 op number] +8+4 +
+     value), commit (1), crc (4). *)
+  let entry_size { Mem_entry.value; from_op; _ } =
+    13 + (match from_op with Some _ -> 8 | None -> 0) + Bytes.length value
+
+  let size t = List.fold_left (fun acc en -> acc + entry_size en) 22 t.entries
+
+  let encode_into t buf ~pos =
+    Bytes.set_uint8 buf pos tag_tx;
+    Bytes.set_int32_le buf (pos + 1) (Int32.of_int t.ds);
+    Bytes.set_int64_le buf (pos + 5) t.op_hi;
+    Bytes.set_int32_le buf (pos + 13) (Int32.of_int (List.length t.entries));
+    let p =
+      List.fold_left
+        (fun p { Mem_entry.addr; value; from_op } ->
+          (* A pointer entry must carry the op number it points at — the
+             old encoding dropped it and [scan] fabricated [Some 0L]. *)
+          let p =
+            match from_op with
+            | Some opn ->
+                Bytes.set_uint8 buf p flag_op_pointer;
+                Bytes.set_int64_le buf (p + 1) opn;
+                p + 9
+            | None ->
+                Bytes.set_uint8 buf p flag_inline;
+                p + 1
+          in
+          let len = Bytes.length value in
+          Bytes.set_int64_le buf p (Int64.of_int addr);
+          Bytes.set_int32_le buf (p + 8) (Int32.of_int len);
+          Bytes.blit value 0 buf (p + 12) len;
+          p + 12 + len)
+        (pos + 17) t.entries
+    in
+    Bytes.set_uint8 buf p tag_commit;
+    Bytes.set_int32_le buf (p + 1) (Crc32.digest buf ~pos ~len:(p + 1 - pos));
     if Asym_obs.enabled () then begin
       Asym_obs.Registry.inc "log.tx_encoded";
-      Asym_obs.Registry.add "log.tx_encoded_bytes" (Bytes.length raw)
+      Asym_obs.Registry.add "log.tx_encoded_bytes" (p + 5 - pos)
     end;
-    raw
+    p + 5
 
   (* Wire cost, not stored size. Header (1+4+8+4) + per entry (1+8+4 +
      payload) + commit (1) + crc (4). An entry whose value is already
@@ -115,23 +125,22 @@ end
 module Op_entry = struct
   type t = { ds : Types.ds_id; opnum : int64; optype : int; params : bytes }
 
+  (* Frame: tag (1), ds (4), opnum (8), optype (1), params length (4),
+     params, crc (4). *)
   let encode t =
-    let e = Codec.Enc.create ~capacity:64 () in
-    Codec.Enc.u8 e tag_op;
-    Codec.Enc.u32i e t.ds;
-    Codec.Enc.u64 e t.opnum;
-    Codec.Enc.u8 e t.optype;
-    Codec.Enc.u32i e (Bytes.length t.params);
-    Codec.Enc.bytes e t.params;
-    let body = Codec.Enc.to_bytes e in
-    let crc = Crc32.digest_bytes body in
-    let e2 = Codec.Enc.create ~capacity:(Bytes.length body + 4) () in
-    Codec.Enc.bytes e2 body;
-    Codec.Enc.u32 e2 crc;
-    let raw = Codec.Enc.to_bytes e2 in
+    let plen = Bytes.length t.params in
+    let body = 18 + plen in
+    let raw = Bytes.create (body + 4) in
+    Bytes.set_uint8 raw 0 tag_op;
+    Bytes.set_int32_le raw 1 (Int32.of_int t.ds);
+    Bytes.set_int64_le raw 5 t.opnum;
+    Bytes.set_uint8 raw 13 t.optype;
+    Bytes.set_int32_le raw 14 (Int32.of_int plen);
+    Bytes.blit t.params 0 raw 18 plen;
+    Bytes.set_int32_le raw body (Crc32.digest raw ~pos:0 ~len:body);
     if Asym_obs.enabled () then begin
       Asym_obs.Registry.inc "log.op_encoded";
-      Asym_obs.Registry.add "log.op_encoded_bytes" (Bytes.length raw)
+      Asym_obs.Registry.add "log.op_encoded_bytes" (body + 4)
     end;
     raw
 

@@ -42,7 +42,13 @@ end
 module Tx : sig
   type t = { ds : Types.ds_id; op_hi : int64; entries : Mem_entry.t list }
 
-  val encode : t -> bytes
+  val size : t -> int
+  (** Bytes of the stored frame. *)
+
+  val encode_into : t -> bytes -> pos:int -> int
+  (** Write the frame, commit flag and CRC at [pos]; returns
+      [pos + size t]. *)
+
   val wire_size : t -> int
   (** Bytes the NIC actually moves, with the op-log pointer optimization. *)
 

@@ -29,14 +29,19 @@ module type S = sig
 
   val read : ?hint:[ `Hot | `Cold ] -> t -> addr:Types.addr -> len:int -> bytes
   (** [rnvm_read]. [`Cold] bypasses the cache (the data structure expects
-      no reuse, e.g. B+Tree leaves below the caching threshold). *)
+      no reuse, e.g. B+Tree leaves below the caching threshold). The result
+      is a fresh buffer the caller owns: editing it in place (a B+Tree node
+      is edited in its loaded bytes) never changes the store or a later
+      [read]. *)
 
   val read_u64 : t -> ?hint:[ `Hot | `Cold ] -> Types.addr -> int64
 
   val write : t -> ds:Types.ds_id -> addr:Types.addr -> bytes -> unit
   (** [rnvm_write]/[rnvm_mem_log]: durable according to the store's mode —
       immediately (direct/naive), or when the operation's logs are
-      persisted (logged mode). *)
+      persisted (logged mode). The store takes the buffer: a logged store
+      keeps it in the pending memory-log entry until the next flush, so the
+      caller must not edit it after the call. *)
 
   val write_u64 : t -> ds:Types.ds_id -> Types.addr -> int64 -> unit
 

@@ -12,8 +12,10 @@ let chunk_mask = chunk_size - 1
 let zero_chunk = Bytes.make chunk_size '\000'
 
 (* Pre-image of the last mutation. A range whose chunks were all untouched
-   held zeros, so nothing is saved for it. *)
-type pre_image = Zeros | Saved of bytes
+   held zeros, so nothing is saved for it. A pre-image of at most one chunk
+   is copied into the device's [pre_buf], which every mutation reuses; a
+   larger one gets a buffer of its own. *)
+type pre_image = Zeros | Buffered | Saved of bytes
 
 type t = {
   name : string;
@@ -25,6 +27,7 @@ type t = {
   mutable last_addr : addr;
   mutable last_len : int;
   mutable last_pre : pre_image;
+  pre_buf : bytes;  (* [Buffered] pre-image, chunk-sized *)
   mutable reads : int;
   mutable writes : int;
   mutable bytes_written : int;
@@ -41,6 +44,7 @@ let create ?(name = "nvm") ~capacity lat =
     last_addr = 0;
     last_len = -1;
     last_pre = Zeros;
+    pre_buf = Bytes.create chunk_size;
     reads = 0;
     writes = 0;
     bytes_written = 0;
@@ -102,14 +106,17 @@ let untouched t addr len =
   done;
   !i > last
 
-let get t addr len =
+(* Copy [addr, addr + len) into [dst] from offset 0. *)
+let get_into t addr len dst =
   let off = addr land chunk_mask in
-  if len > 0 && off + len <= chunk_size then Bytes.sub t.chunks.(addr lsr chunk_bits) off len
-  else begin
-    let b = Bytes.create len in
-    pieces addr len (fun i off n pos -> Bytes.blit t.chunks.(i) off b pos n);
-    b
-  end
+  if len > 0 && off + len <= chunk_size then
+    Bytes.blit t.chunks.(addr lsr chunk_bits) off dst 0 len
+  else pieces addr len (fun i off n pos -> Bytes.blit t.chunks.(i) off dst pos n)
+
+let get t addr len =
+  let b = Bytes.create len in
+  get_into t addr len b;
+  b
 
 (* Store [len] bytes of [src] from [src_pos] at [addr]. An untouched chunk
    is allocated only if the bytes bound for it are not all zero. *)
@@ -151,7 +158,13 @@ let set_u64 t addr v =
 let save_pre_image t addr len =
   t.last_addr <- addr;
   t.last_len <- len;
-  t.last_pre <- (if untouched t addr len then Zeros else Saved (get t addr len))
+  t.last_pre <-
+    (if untouched t addr len then Zeros
+     else if len <= chunk_size then begin
+       get_into t addr len t.pre_buf;
+       Buffered
+     end
+     else Saved (get t addr len))
 
 let count_write t len =
   t.writes <- t.writes + 1;
@@ -228,6 +241,7 @@ let tear_last_write t ~keep =
     (* Revert the suffix past [keep] to the pre-image. *)
     (match t.last_pre with
     | Zeros -> fill_zero t (t.last_addr + keep) (len - keep)
+    | Buffered -> put t t.pre_buf keep (t.last_addr + keep) (len - keep)
     | Saved pre -> put t pre keep (t.last_addr + keep) (len - keep));
     forget_last_write t;
     (* The device has no clock; the tracer anchors the instant at the

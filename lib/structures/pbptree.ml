@@ -1,35 +1,23 @@
 (** Persistent B+Tree (lock-based, §8.3), fan-out 32.
 
-    Fixed 512-byte nodes:
-    - internal: [[tag][nkeys][pad6][keys: 31 x u64][children: 32 x u64]]
-    - leaf:     [[tag][nkeys][pad6][next: u64][keys: 31 x u64][valptrs: 31 x u64]]
-
-    Values live in out-of-line blobs; leaves are chained for range scans.
-    Upper levels are read through the cache with the adaptive depth
-    threshold of §8.3; leaves below the threshold bypass it. Deletion is
-    leaf-local (no rebalancing): emptied leaves stay linked, which keeps
-    lookups correct — the standard relaxed B+Tree used by log-structured
-    stores. *)
+    Fixed 512-byte nodes ({!Bnode}), values in out-of-line blobs, leaves
+    chained for range scans. Upper levels are read through the cache with
+    the adaptive depth threshold of §8.3; leaves below the threshold bypass
+    it. Deletion is leaf-local (no rebalancing): emptied leaves stay
+    linked, which keeps lookups correct — the standard relaxed B+Tree used
+    by log-structured stores. *)
 
 open Asym_core
 
 let op_put = 1
 let op_delete = 2
 let op_vinsert = 3
-let fanout = 32
-let max_keys = fanout - 1
+let fanout = Bnode.fanout
+let max_keys = Bnode.max_keys
 
 module Make (S : Store.S) = struct
   module B = Blob.Make (S)
-
-  type node = {
-    leaf : bool;
-    mutable nkeys : int;
-    keys : int64 array;  (* max_keys *)
-    children : int array;  (* fanout, internal only *)
-    mutable next : int;  (* leaf only *)
-    vals : int array;  (* max_keys, leaf only *)
-  }
+  module N = Bnode
 
   type t = {
     s : S.t;
@@ -37,8 +25,6 @@ module Make (S : Store.S) = struct
     lc : Level_cache.t;
     opts : Ds_intf.options;
   }
-
-  let node_bytes = 512
 
   let attach ?(opts = Ds_intf.locked_options) ?(cache_all_levels = false) s ~name =
     let h = S.register_ds s name in
@@ -57,174 +43,57 @@ module Make (S : Store.S) = struct
     end
     else f ()
 
-  (* Arrays carry one spare slot: an internal node transiently holds
-     max_keys + 1 keys between [internal_insert_at] and [split_internal];
-     the overflowed shape is never encoded to NVM. *)
-  let empty_node leaf =
-    {
-      leaf;
-      nkeys = 0;
-      keys = Array.make (max_keys + 1) 0L;
-      children = Array.make (fanout + 1) 0;
-      next = 0;
-      vals = Array.make (max_keys + 1) 0;
-    }
+  (* [S.read] hands over a fresh node image the caller may edit. *)
+  let load t ~depth addr = S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:N.size
 
-  let encode n =
-    let b = Bytes.make node_bytes '\000' in
-    Bytes.set_uint8 b 0 (if n.leaf then 1 else 2);
-    Bytes.set_uint8 b 1 n.nkeys;
-    if n.leaf then begin
-      Bytes.set_int64_le b 8 (Int64.of_int n.next);
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (16 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (264 + (8 * i)) (Int64.of_int n.vals.(i))
-      done
-    end
-    else
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i));
-        if i = max_keys - 1 then
-          Bytes.set_int64_le b (256 + (8 * max_keys)) (Int64.of_int n.children.(max_keys))
-      done;
-    b
-
-  let decode b =
-    let leaf = Bytes.get_uint8 b 0 = 1 in
-    let n = empty_node leaf in
-    n.nkeys <- Bytes.get_uint8 b 1;
-    if leaf then begin
-      n.next <- Int64.to_int (Bytes.get_int64_le b 8);
-      for i = 0 to max_keys - 1 do
-        n.keys.(i) <- Bytes.get_int64_le b (16 + (8 * i));
-        n.vals.(i) <- Int64.to_int (Bytes.get_int64_le b (264 + (8 * i)))
-      done
-    end
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then n.keys.(i) <- Bytes.get_int64_le b (8 + (8 * i));
-        n.children.(i) <- Int64.to_int (Bytes.get_int64_le b (256 + (8 * i)))
-      done;
-    n
-
-  let load t ~depth addr =
-    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
-
-  let store t ~ds addr n = S.write t.s ~ds ~addr (encode n)
+  (* The store keeps [n] until its next flush: a stored node is never
+     edited again. *)
+  let store t ~ds addr n = S.write t.s ~ds ~addr n
 
   let alloc_node t ~ds n =
-    let addr = S.malloc t.s node_bytes in
+    let addr = S.malloc t.s N.size in
     store t ~ds addr n;
     addr
-
-  (* Index of the child to descend into: number of separator keys <= key. *)
-  let child_index n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) <= key then go (i + 1) else i in
-    go 0
-
-  (* Position of [key] in a leaf, or the insertion point. *)
-  let leaf_pos n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) < key then go (i + 1) else i in
-    go 0
-
-  let leaf_insert_at n pos key valptr =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1);
-      n.vals.(i) <- n.vals.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.vals.(pos) <- valptr;
-    n.nkeys <- n.nkeys + 1
-
-  let internal_insert_at n pos key child =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1)
-    done;
-    for i = n.nkeys + 1 downto pos + 2 do
-      n.children.(i) <- n.children.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.children.(pos + 1) <- child;
-    n.nkeys <- n.nkeys + 1
-
-  (* Split a full leaf in two; returns the separator and the new right
-     sibling (still unallocated). *)
-  let split_leaf n =
-    let right = empty_node true in
-    let half = n.nkeys / 2 in
-    let moved = n.nkeys - half in
-    for i = 0 to moved - 1 do
-      right.keys.(i) <- n.keys.(half + i);
-      right.vals.(i) <- n.vals.(half + i);
-      n.keys.(half + i) <- 0L;
-      n.vals.(half + i) <- 0
-    done;
-    right.nkeys <- moved;
-    n.nkeys <- half;
-    right.next <- n.next;
-    (right.keys.(0), right)
-
-  let split_internal n =
-    let right = empty_node false in
-    let mid = n.nkeys / 2 in
-    let sep = n.keys.(mid) in
-    let moved = n.nkeys - mid - 1 in
-    for i = 0 to moved - 1 do
-      right.keys.(i) <- n.keys.(mid + 1 + i);
-      n.keys.(mid + 1 + i) <- 0L
-    done;
-    for i = 0 to moved do
-      right.children.(i) <- n.children.(mid + 1 + i);
-      n.children.(mid + 1 + i) <- 0
-    done;
-    right.nkeys <- moved;
-    n.keys.(mid) <- 0L;
-    n.nkeys <- mid;
-    (sep, right)
 
   (* Returns [Some (sep, right_addr)] if [addr] split. *)
   let rec insert_rec t ~ds addr depth key valptr =
     let n = load t ~depth addr in
-    if n.leaf then begin
-      let pos = leaf_pos n key in
-      if pos < n.nkeys && n.keys.(pos) = key then begin
-        let old = n.vals.(pos) in
-        n.vals.(pos) <- valptr;
+    if N.is_leaf n then begin
+      let pos = N.leaf_pos n key in
+      if N.holds n pos key then begin
+        let old = N.value n pos in
+        N.set_value n pos valptr;
         store t ~ds addr n;
         B.free t.s old;
         None
       end
-      else if n.nkeys < max_keys then begin
-        leaf_insert_at n pos key valptr;
+      else if N.nkeys n < max_keys then begin
+        N.insert n pos key valptr;
         store t ~ds addr n;
         None
       end
       else begin
-        let sep, right = split_leaf n in
-        (if key >= sep then leaf_insert_at right (leaf_pos right key) key valptr
-         else leaf_insert_at n (leaf_pos n key) key valptr);
+        let sep, right = N.split_leaf n in
+        (if key >= sep then N.insert right (N.leaf_pos right key) key valptr
+         else N.insert n (N.leaf_pos n key) key valptr);
         let right_addr = alloc_node t ~ds right in
-        n.next <- right_addr;
+        N.set_next n right_addr;
         store t ~ds addr n;
         Some (sep, right_addr)
       end
     end
     else begin
-      let idx = child_index n key in
-      match insert_rec t ~ds n.children.(idx) (depth + 1) key valptr with
+      let idx = N.child_index n key in
+      match insert_rec t ~ds (N.child n idx) (depth + 1) key valptr with
       | None -> None
       | Some (sep, right_addr) ->
-          if n.nkeys < max_keys then begin
-            internal_insert_at n idx sep right_addr;
+          if N.nkeys n < max_keys then begin
+            N.insert n idx sep right_addr;
             store t ~ds addr n;
             None
           end
           else begin
-            internal_insert_at n idx sep right_addr;
-            (* Overflowed by one: split. nkeys is transiently max_keys+1 in
-               DRAM only; both halves are rewritten below. *)
-            let osep, right = split_internal n in
+            let osep, right = N.insert_split ~clear:true n idx sep right_addr in
             let raddr = alloc_node t ~ds right in
             store t ~ds addr n;
             Some (osep, raddr)
@@ -236,8 +105,8 @@ module Make (S : Store.S) = struct
     let valptr = B.alloc t.s ~ds value in
     let root = Int64.to_int (S.read_u64 ~hint:`Hot t.s t.h.Types.root) in
     (if root = 0 then begin
-       let leaf = empty_node true in
-       leaf_insert_at leaf 0 key valptr;
+       let leaf = N.create ~leaf:true in
+       N.insert leaf 0 key valptr;
        let addr = alloc_node t ~ds leaf in
        S.write_u64 t.s ~ds t.h.Types.root (Int64.of_int addr)
      end
@@ -245,11 +114,9 @@ module Make (S : Store.S) = struct
        match insert_rec t ~ds root 0 key valptr with
        | None -> ()
        | Some (sep, right_addr) ->
-           let nroot = empty_node false in
-           nroot.nkeys <- 1;
-           nroot.keys.(0) <- sep;
-           nroot.children.(0) <- root;
-           nroot.children.(1) <- right_addr;
+           let nroot = N.create ~leaf:false in
+           N.set_child nroot 0 root;
+           N.insert nroot 0 sep right_addr;
            let addr = alloc_node t ~ds nroot in
            S.write_u64 t.s ~ds t.h.Types.root (Int64.of_int addr));
     Level_cache.note_op t.lc ~stats:(S.cache_stats t.s)
@@ -261,13 +128,10 @@ module Make (S : Store.S) = struct
         put_nolog t key value;
         S.op_end t.s ~ds)
 
-  (* Internal-overflow guard: keys array has max_keys slots, so the
-     transient max_keys+1 state above must never be encoded. It is not:
-     split_internal runs before [store]. *)
-
   let rec find_leaf t ~depth addr key =
     let n = load t ~depth addr in
-    if n.leaf then n else find_leaf t ~depth:(depth + 1) n.children.(child_index n key) key
+    if N.is_leaf n then n
+    else find_leaf t ~depth:(depth + 1) (N.child n (N.child_index n key)) key
 
   let find t ~key =
     let read () =
@@ -275,9 +139,8 @@ module Make (S : Store.S) = struct
       if root = 0 then None
       else begin
         let leaf = find_leaf t ~depth:0 root key in
-        let pos = leaf_pos leaf key in
-        if pos < leaf.nkeys && leaf.keys.(pos) = key then Some (B.read t.s leaf.vals.(pos))
-        else None
+        let pos = N.leaf_pos leaf key in
+        if N.holds leaf pos key then Some (B.read t.s (N.value leaf pos)) else None
       end
     in
     let v = if t.opts.Ds_intf.shared then S.read_section t.s t.h read else read () in
@@ -288,22 +151,18 @@ module Make (S : Store.S) = struct
 
   let rec delete_rec t ~ds addr depth key =
     let n = load t ~depth addr in
-    if n.leaf then begin
-      let pos = leaf_pos n key in
-      if pos < n.nkeys && n.keys.(pos) = key then begin
-        let blob = n.vals.(pos) in
-        for i = pos to n.nkeys - 2 do
-          n.keys.(i) <- n.keys.(i + 1);
-          n.vals.(i) <- n.vals.(i + 1)
-        done;
-        n.nkeys <- n.nkeys - 1;
+    if N.is_leaf n then begin
+      let pos = N.leaf_pos n key in
+      if N.holds n pos key then begin
+        let blob = N.value n pos in
+        N.remove n pos;
         store t ~ds addr n;
         B.free t.s blob;
         true
       end
       else false
     end
-    else delete_rec t ~ds n.children.(child_index n key) (depth + 1) key
+    else delete_rec t ~ds (N.child n (N.child_index n key)) (depth + 1) key
 
   let delete t ~key =
     locked t (fun () ->
@@ -332,14 +191,14 @@ module Make (S : Store.S) = struct
       let out = ref [] in
       let continue_ = ref true in
       while !continue_ do
-        let n = !leaf in
-        for i = 0 to n.nkeys - 1 do
-          if n.keys.(i) >= lo && n.keys.(i) <= hi then
-            out := (n.keys.(i), B.read t.s n.vals.(i)) :: !out
+        let n = !leaf and nk = N.nkeys !leaf in
+        for i = 0 to nk - 1 do
+          let k = N.key n i in
+          if k >= lo && k <= hi then out := (k, B.read t.s (N.value n i)) :: !out
         done;
-        if n.nkeys > 0 && n.keys.(n.nkeys - 1) > hi then continue_ := false
-        else if n.next = 0 then continue_ := false
-        else leaf := load t ~depth:12 n.next
+        if nk > 0 && N.key n (nk - 1) > hi then continue_ := false
+        else if N.next n = 0 then continue_ := false
+        else leaf := load t ~depth:12 (N.next n)
       done;
       List.rev !out
     end

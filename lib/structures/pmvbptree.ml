@@ -1,6 +1,6 @@
 (** Multi-version (copy-on-write) B+Tree — the append-only B-Tree of §6.2.
 
-    Same 512-byte node geometry as {!Pbptree}, but nodes are immutable:
+    Same 512-byte node ({!Bnode}) as {!Pbptree}, but nodes are immutable:
     an insert path-copies from leaf to root and installs the new version
     with a root CAS. Leaf chaining is dropped (a chained leaf would need
     in-place updates); in-order traversal goes through the tree. *)
@@ -9,20 +9,13 @@ open Asym_core
 
 let op_put = 1
 let op_delete = 2
-let fanout = Pbptree.fanout
-let max_keys = Pbptree.max_keys
+let fanout = Bnode.fanout
+let max_keys = Bnode.max_keys
 
 module Make (S : Store.S) = struct
   module B = Blob.Make (S)
   module Gc = Lazy_gc.Make (S)
-
-  type node = {
-    leaf : bool;
-    mutable nkeys : int;
-    keys : int64 array;
-    children : int array;
-    vals : int array;
-  }
+  module N = Bnode
 
   type t = {
     s : S.t;
@@ -32,8 +25,6 @@ module Make (S : Store.S) = struct
     opts : Ds_intf.options;
     mutable last_root : int64;  (* version epoch observed by this reader *)
   }
-
-  let node_bytes = 512
 
   let attach ?(opts = Ds_intf.default_options) s ~name =
     let h = S.register_ds s name in
@@ -60,120 +51,30 @@ module Make (S : Store.S) = struct
   let gc_pending t = Gc.pending t.gc
   let gc_drain t = Gc.drain t.gc
 
-  let empty_node leaf =
-    {
-      leaf;
-      nkeys = 0;
-      keys = Array.make (max_keys + 1) 0L;
-      children = Array.make (fanout + 1) 0;
-      vals = Array.make (max_keys + 1) 0;
-    }
+  (* [S.read] hands over a fresh copy: editing it never touches the
+     version readers see. *)
+  let load t ~depth addr = S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:N.size
 
-  let copy_node n =
-    {
-      leaf = n.leaf;
-      nkeys = n.nkeys;
-      keys = Array.copy n.keys;
-      children = Array.copy n.children;
-      vals = Array.copy n.vals;
-    }
-
-  let encode n =
-    assert (n.nkeys <= max_keys);
-    let b = Bytes.make node_bytes '\000' in
-    Bytes.set_uint8 b 0 (if n.leaf then 1 else 2);
-    Bytes.set_uint8 b 1 n.nkeys;
-    if n.leaf then
-      for i = 0 to max_keys - 1 do
-        Bytes.set_int64_le b (16 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (264 + (8 * i)) (Int64.of_int n.vals.(i))
-      done
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then Bytes.set_int64_le b (8 + (8 * i)) n.keys.(i);
-        Bytes.set_int64_le b (256 + (8 * i)) (Int64.of_int n.children.(i))
-      done;
-    b
-
-  let decode b =
-    let leaf = Bytes.get_uint8 b 0 = 1 in
-    let n = empty_node leaf in
-    n.nkeys <- Bytes.get_uint8 b 1;
-    if leaf then
-      for i = 0 to max_keys - 1 do
-        n.keys.(i) <- Bytes.get_int64_le b (16 + (8 * i));
-        n.vals.(i) <- Int64.to_int (Bytes.get_int64_le b (264 + (8 * i)))
-      done
-    else
-      for i = 0 to fanout - 1 do
-        if i < max_keys then n.keys.(i) <- Bytes.get_int64_le b (8 + (8 * i));
-        n.children.(i) <- Int64.to_int (Bytes.get_int64_le b (256 + (8 * i)))
-      done;
-    n
-
-  let load t ~depth addr =
-    decode (S.read ~hint:(Level_cache.hint t.lc ~depth) t.s ~addr ~len:node_bytes)
-
+  (* The store keeps [n] until its next flush: a stored node is never
+     edited again. *)
   let alloc_node t ~ds ~created n =
-    let addr = S.malloc t.s node_bytes in
-    S.write t.s ~ds ~addr (encode n);
-    created := (addr, node_bytes) :: !created;
+    let addr = S.malloc t.s N.size in
+    S.write t.s ~ds ~addr n;
+    created := (addr, N.size) :: !created;
     addr
 
-  let child_index n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) <= key then go (i + 1) else i in
-    go 0
-
-  let leaf_pos n key =
-    let rec go i = if i < n.nkeys && n.keys.(i) < key then go (i + 1) else i in
-    go 0
-
-  let leaf_insert_at n pos key valptr =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1);
-      n.vals.(i) <- n.vals.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.vals.(pos) <- valptr;
-    n.nkeys <- n.nkeys + 1
-
-  let internal_insert_at n pos key child =
-    for i = n.nkeys downto pos + 1 do
-      n.keys.(i) <- n.keys.(i - 1)
-    done;
-    for i = n.nkeys + 1 downto pos + 2 do
-      n.children.(i) <- n.children.(i - 1)
-    done;
-    n.keys.(pos) <- key;
-    n.children.(pos + 1) <- child;
-    n.nkeys <- n.nkeys + 1
-
-  let split n =
-    let right = empty_node n.leaf in
-    if n.leaf then begin
-      let half = n.nkeys / 2 in
-      let moved = n.nkeys - half in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(half + i);
-        right.vals.(i) <- n.vals.(half + i)
-      done;
-      right.nkeys <- moved;
-      n.nkeys <- half;
-      (right.keys.(0), right)
+  (* Insert into a copied node, splitting it if it was full; the split
+     halves keep the stale slots the insert shifted there. *)
+  let insert_copy t ~ds ~created n pos key ptr =
+    if N.nkeys n < max_keys then begin
+      N.insert n pos key ptr;
+      (alloc_node t ~ds ~created n, None)
     end
     else begin
-      let mid = n.nkeys / 2 in
-      let sep = n.keys.(mid) in
-      let moved = n.nkeys - mid - 1 in
-      for i = 0 to moved - 1 do
-        right.keys.(i) <- n.keys.(mid + 1 + i)
-      done;
-      for i = 0 to moved do
-        right.children.(i) <- n.children.(mid + 1 + i)
-      done;
-      right.nkeys <- moved;
-      n.nkeys <- mid;
-      (sep, right)
+      let sep, right = N.insert_split ~clear:false n pos key ptr in
+      let laddr = alloc_node t ~ds ~created n in
+      let raddr = alloc_node t ~ds ~created right in
+      (laddr, Some (sep, raddr))
     end
 
   let rec with_root_swap t ~build ~attempt =
@@ -211,45 +112,30 @@ module Make (S : Store.S) = struct
               an optional split to propagate. *)
            let rec ins addr depth =
              if addr = 0 then begin
-               let leaf = empty_node true in
-               leaf_insert_at leaf 0 key valptr;
+               let leaf = N.create ~leaf:true in
+               N.insert leaf 0 key valptr;
                (alloc_node t ~ds ~created leaf, None)
              end
              else begin
-               let n = copy_node (load t ~depth addr) in
-               obsolete := (addr, node_bytes) :: !obsolete;
-               if n.leaf then begin
-                 let pos = leaf_pos n key in
-                 if pos < n.nkeys && n.keys.(pos) = key then begin
-                   obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
-                   n.vals.(pos) <- valptr;
+               let n = load t ~depth addr in
+               obsolete := (addr, N.size) :: !obsolete;
+               if N.is_leaf n then begin
+                 let pos = N.leaf_pos n key in
+                 if N.holds n pos key then begin
+                   let old = N.value n pos in
+                   obsolete := (old, B.size t.s old) :: !obsolete;
+                   N.set_value n pos valptr;
                    (alloc_node t ~ds ~created n, None)
                  end
-                 else begin
-                   leaf_insert_at n pos key valptr;
-                   if n.nkeys <= max_keys then (alloc_node t ~ds ~created n, None)
-                   else begin
-                     let sep, right = split n in
-                     let laddr = alloc_node t ~ds ~created n in
-                     let raddr = alloc_node t ~ds ~created right in
-                     (laddr, Some (sep, raddr))
-                   end
-                 end
+                 else insert_copy t ~ds ~created n pos key valptr
                end
                else begin
-                 let idx = child_index n key in
-                 let child', spl = ins n.children.(idx) (depth + 1) in
-                 n.children.(idx) <- child';
-                 (match spl with
-                 | None -> ()
-                 | Some (sep, raddr) -> internal_insert_at n idx sep raddr);
-                 if n.nkeys <= max_keys then (alloc_node t ~ds ~created n, None)
-                 else begin
-                   let sep, right = split n in
-                   let laddr = alloc_node t ~ds ~created n in
-                   let raddr = alloc_node t ~ds ~created right in
-                   (laddr, Some (sep, raddr))
-                 end
+                 let idx = N.child_index n key in
+                 let child', spl = ins (N.child n idx) (depth + 1) in
+                 N.set_child n idx child';
+                 match spl with
+                 | None -> (alloc_node t ~ds ~created n, None)
+                 | Some (sep, raddr) -> insert_copy t ~ds ~created n idx sep raddr
                end
              end
            in
@@ -257,11 +143,9 @@ module Make (S : Store.S) = struct
            match spl with
            | None -> Some new_child
            | Some (sep, raddr) ->
-               let nroot = empty_node false in
-               nroot.nkeys <- 1;
-               nroot.keys.(0) <- sep;
-               nroot.children.(0) <- new_child;
-               nroot.children.(1) <- raddr;
+               let nroot = N.create ~leaf:false in
+               N.set_child nroot 0 new_child;
+               N.insert nroot 0 sep raddr;
                Some (alloc_node t ~ds ~created nroot)));
     S.op_end t.s ~ds;
     Gc.pump t.gc;
@@ -273,11 +157,11 @@ module Make (S : Store.S) = struct
         if addr = 0 then None
         else begin
           let n = load t ~depth addr in
-          if n.leaf then begin
-            let pos = leaf_pos n key in
-            if pos < n.nkeys && n.keys.(pos) = key then Some (B.read t.s n.vals.(pos)) else None
+          if N.is_leaf n then begin
+            let pos = N.leaf_pos n key in
+            if N.holds n pos key then Some (B.read t.s (N.value n pos)) else None
           end
-          else go n.children.(child_index n key) (depth + 1)
+          else go (N.child n (N.child_index n key)) (depth + 1)
         end
       in
       go (Int64.to_int (current_root t)) 0
@@ -299,28 +183,24 @@ module Make (S : Store.S) = struct
           let rec del addr depth =
             if addr = 0 then None
             else begin
-              let n = copy_node (load t ~depth addr) in
-              if n.leaf then begin
-                let pos = leaf_pos n key in
-                if pos < n.nkeys && n.keys.(pos) = key then begin
-                  obsolete := (addr, node_bytes) :: !obsolete;
-                  obsolete := (n.vals.(pos), B.size t.s n.vals.(pos)) :: !obsolete;
-                  for i = pos to n.nkeys - 2 do
-                    n.keys.(i) <- n.keys.(i + 1);
-                    n.vals.(i) <- n.vals.(i + 1)
-                  done;
-                  n.nkeys <- n.nkeys - 1;
+              let n = load t ~depth addr in
+              if N.is_leaf n then begin
+                let pos = N.leaf_pos n key in
+                if N.holds n pos key then begin
+                  obsolete := (addr, N.size) :: !obsolete;
+                  obsolete := (N.value n pos, B.size t.s (N.value n pos)) :: !obsolete;
+                  N.remove n pos;
                   Some (alloc_node t ~ds ~created n)
                 end
                 else None
               end
               else begin
-                let idx = child_index n key in
-                match del n.children.(idx) (depth + 1) with
+                let idx = N.child_index n key in
+                match del (N.child n idx) (depth + 1) with
                 | None -> None
                 | Some child' ->
-                    obsolete := (addr, node_bytes) :: !obsolete;
-                    n.children.(idx) <- child';
+                    obsolete := (addr, N.size) :: !obsolete;
+                    N.set_child n idx child';
                     Some (alloc_node t ~ds ~created n)
               end
             end
@@ -337,20 +217,16 @@ module Make (S : Store.S) = struct
       if addr = 0 then acc
       else begin
         let n = load t ~depth:8 addr in
-        if n.leaf then begin
-          let acc = ref acc in
-          for i = 0 to n.nkeys - 1 do
-            acc := f !acc n.keys.(i) (B.read t.s n.vals.(i))
+        let acc = ref acc in
+        if N.is_leaf n then
+          for i = 0 to N.nkeys n - 1 do
+            acc := f !acc (N.key n i) (B.read t.s (N.value n i))
+          done
+        else
+          for i = 0 to N.nkeys n do
+            acc := go !acc (N.child n i)
           done;
-          !acc
-        end
-        else begin
-          let acc = ref acc in
-          for i = 0 to n.nkeys do
-            acc := go !acc n.children.(i)
-          done;
-          !acc
-        end
+        !acc
       end
     in
     go init (Int64.to_int (S.read_u64 ~hint:`Cold t.s t.h.Types.root))

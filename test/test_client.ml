@@ -207,6 +207,42 @@ let test_read_own_write_before_flush () =
   check Alcotest.string "durable after flush" "pending!"
     (Bytes.to_string (Asym_nvm.Device.read (Backend.device bk) ~addr ~len:8))
 
+(* Store.S ownership: [read] hands over a fresh buffer, so a caller that
+   edits it (a B+Tree node edited in place) never changes what a later
+   read returns — on any path. *)
+let read_is_owned name read =
+  let first = read () in
+  let expect = Bytes.copy first in
+  Bytes.fill first 0 (Bytes.length first) '#';
+  check Alcotest.string name (Bytes.to_string expect) (Bytes.to_string (read ()))
+
+let test_read_hands_over_bytes () =
+  let bk = mk_backend () in
+  let fe, _ = mk_client ~cfg:(Client.rcb ~batch_size:100 ()) bk in
+  let h = Client.register_ds fe "kv" in
+  (* One whole cache page, so a path that handed out the cached page
+     itself would show. *)
+  let block = Client.malloc fe 1024 and page = 256 in
+  let addr = (block + page - 1) / page * page in
+  ignore (Client.op_begin fe ~ds:h.Types.id ~optype:1 ~params:Bytes.empty);
+  Client.write fe ~ds:h.Types.id ~addr:block (Bytes.make 1024 'a');
+  Client.op_end fe ~ds:h.Types.id;
+  read_is_owned "overlay hit" (fun () -> Client.read fe ~addr ~len:page);
+  Client.flush fe;
+  let misses () = snd (Client.cache_stats fe) in
+  let m0 = misses () in
+  read_is_owned "cache miss, then hit" (fun () -> Client.read fe ~addr ~len:page);
+  check Alcotest.int "one miss" (m0 + 1) (misses ());
+  read_is_owned "cache hit" (fun () -> Client.read fe ~addr ~len:page);
+  check Alcotest.int "then hits" (m0 + 1) (misses ());
+  read_is_owned "cold" (fun () -> Client.read ~hint:`Cold fe ~addr:(addr + page) ~len:page);
+  let sym = Asym_baseline.Local_store.create lat ~clock:(Clock.create ~name:"sym" ()) in
+  let sh = Asym_baseline.Local_store.register_ds sym "kv" in
+  let saddr = Asym_baseline.Local_store.malloc sym 64 in
+  Asym_baseline.Local_store.write sym ~ds:sh.Types.id ~addr:saddr (Bytes.make 64 's');
+  read_is_owned "local store" (fun () ->
+      Asym_baseline.Local_store.read sym ~addr:saddr ~len:64)
+
 (* -- naive (direct) mode ------------------------------------------------------------ *)
 
 let test_direct_mode_writes_in_place () =
@@ -403,6 +439,7 @@ let () =
           Alcotest.test_case "uncached pays rtt" `Quick test_uncached_read_costs_rtt_every_time;
           Alcotest.test_case "cold hint bypasses cache" `Quick test_cold_hint_bypasses_cache;
           Alcotest.test_case "read own write" `Quick test_read_own_write_before_flush;
+          Alcotest.test_case "read hands over its bytes" `Quick test_read_hands_over_bytes;
         ] );
       ( "modes",
         [

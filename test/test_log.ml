@@ -2,13 +2,19 @@ open Asym_core
 
 let check = Alcotest.check
 
+(* A transaction's frame in a buffer of its own. *)
+let encode_tx tx =
+  let b = Bytes.create (Log.Tx.size tx) in
+  ignore (Log.Tx.encode_into tx b ~pos:0);
+  b
+
 let entry ?from_op addr s = Log.Mem_entry.make ?from_op ~addr (Bytes.of_string s)
 
 let tx ?(ds = 3) ?(op_hi = 9L) entries = { Log.Tx.ds; op_hi; entries }
 
 let test_tx_roundtrip () =
   let t = tx [ entry 100 "abc"; entry 200 "defghij"; entry 64 "" ] in
-  let b = Log.Tx.encode t in
+  let b = encode_tx t in
   match Log.Tx.scan b ~pos:0 with
   | Log.Tx.Record (t', consumed) ->
       check Alcotest.int "consumed all" (Bytes.length b) consumed;
@@ -35,21 +41,21 @@ let test_tx_wrap_marker () =
 
 let test_tx_torn_detected () =
   let t = tx [ entry 100 "some value here" ] in
-  let b = Log.Tx.encode t in
+  let b = encode_tx t in
   (* Corrupt one payload byte: the CRC must catch it. *)
   Bytes.set b (Bytes.length b - 6) 'X';
   check Alcotest.bool "torn" true (Log.Tx.scan b ~pos:0 = Log.Tx.Torn)
 
 let test_tx_truncated_is_torn () =
   let t = tx [ entry 100 "0123456789abcdef" ] in
-  let b = Log.Tx.encode t in
+  let b = encode_tx t in
   let cut = Bytes.sub b 0 (Bytes.length b - 5) in
   check Alcotest.bool "truncated torn" true (Log.Tx.scan cut ~pos:0 = Log.Tx.Torn)
 
 let test_tx_sequence_scan () =
   let t1 = tx ~op_hi:1L [ entry 0 "one" ] in
   let t2 = tx ~op_hi:2L [ entry 8 "two" ] in
-  let b1 = Log.Tx.encode t1 and b2 = Log.Tx.encode t2 in
+  let b1 = encode_tx t1 and b2 = encode_tx t2 in
   let buf = Bytes.make (Bytes.length b1 + Bytes.length b2 + 32) '\000' in
   Bytes.blit b1 0 buf 0 (Bytes.length b1);
   Bytes.blit b2 0 buf (Bytes.length b1) (Bytes.length b2);
@@ -71,11 +77,11 @@ let test_tx_wire_size_pointer_optimization () =
   (* Both encode the value inline for integrity; the pointer frame
      additionally stores the 8-byte op number it points at. *)
   check Alcotest.int "stored frame carries the op number"
-    (Bytes.length (Log.Tx.encode plain) + 8)
-    (Bytes.length (Log.Tx.encode pointed));
+    (Bytes.length (encode_tx plain) + 8)
+    (Bytes.length (encode_tx pointed));
   (* The op number must round-trip — a scan that fabricates it would
      send recovery to the wrong op-log record. *)
-  match Log.Tx.scan (Log.Tx.encode pointed) ~pos:0 with
+  match Log.Tx.scan (encode_tx pointed) ~pos:0 with
   | Log.Tx.Record (t', _) -> (
       match t'.Log.Tx.entries with
       | [ e ] ->
@@ -108,7 +114,7 @@ let test_op_torn () =
    single flipped or clipped byte. *)
 let test_tx_one_byte_payload_torn () =
   let t = tx [ entry 100 "x" ] in
-  let good = Log.Tx.encode t in
+  let good = encode_tx t in
   (match Log.Tx.scan good ~pos:0 with
   | Log.Tx.Record (t', _) ->
       check Alcotest.int "sanity: 1-byte entry round-trips" 1 (List.length t'.Log.Tx.entries)
@@ -146,14 +152,14 @@ let test_tx_empty_entries () =
   (* A header-only transaction (the §8.1 fully-annulled batch) still
      round-trips and advances op coverage. *)
   let t = tx ~op_hi:7L [] in
-  match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
+  match Log.Tx.scan (encode_tx t) ~pos:0 with
   | Log.Tx.Record (t', _) ->
       check Alcotest.int64 "op_hi" 7L t'.Log.Tx.op_hi;
       check Alcotest.int "no entries" 0 (List.length t'.Log.Tx.entries)
   | _ -> Alcotest.fail "expected record"
 
 let test_tx_scan_at_offset () =
-  let b1 = Log.Tx.encode (tx ~op_hi:1L [ entry 0 "x" ]) in
+  let b1 = encode_tx (tx ~op_hi:1L [ entry 0 "x" ]) in
   let buf = Bytes.make (Bytes.length b1 + 10) '\000' in
   Bytes.blit b1 0 buf 5 (Bytes.length b1);
   (* Scanning at the right offset parses; at offset 0 it reports Empty. *)
@@ -167,7 +173,30 @@ let test_tx_scan_at_offset () =
 let test_wire_size_matches_encoded_without_pointers () =
   (* With no op-log pointers the wire size equals the encoded size. *)
   let t = tx [ entry 0 "0123456789"; entry 64 "" ] in
-  check Alcotest.int "wire = encoded" (Bytes.length (Log.Tx.encode t)) (Log.Tx.wire_size t)
+  check Alcotest.int "wire = encoded" (Bytes.length (encode_tx t)) (Log.Tx.wire_size t)
+
+(* Frames as the Codec.Enc-built encoders wrote them: writing in place
+   must not move the on-media format. *)
+let hex b =
+  String.concat "" (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_tx_golden () =
+  let t =
+    tx ~op_hi:0x0102030405L [ entry 0x1234 "abc"; entry ~from_op:7L 0x40 "0123456789abcdef" ]
+  in
+  check Alcotest.string "frame"
+    ("b5030000000504030201000000020000000134120000000000000300000061626302070000000000000040"
+   ^ "000000000000001000000030313233343536373839616263646566c3254451ee")
+    (hex (encode_tx t));
+  check Alcotest.int "size" 75 (Log.Tx.size t)
+
+let test_op_golden () =
+  let op =
+    { Log.Op_entry.ds = 5; opnum = 42L; optype = 1; params = Bytes.of_string "key+value" }
+  in
+  check Alcotest.string "frame"
+    "a7050000002a0000000000000001090000006b65792b76616c7565e2ca1cab"
+    (hex (Log.Op_entry.encode op))
 
 let gen_entry =
   QCheck.Gen.(
@@ -180,7 +209,7 @@ let prop_tx_roundtrip =
     (QCheck.make QCheck.Gen.(pair (list_size (1 -- 10) gen_entry) (pair (int_bound 100) ui64)))
     (fun (entries, (ds, op_hi)) ->
       let t = { Log.Tx.ds; op_hi = Int64.logand op_hi Int64.max_int; entries } in
-      match Log.Tx.scan (Log.Tx.encode t) ~pos:0 with
+      match Log.Tx.scan (encode_tx t) ~pos:0 with
       | Log.Tx.Record (t', _) ->
           t'.Log.Tx.ds = t.Log.Tx.ds
           && t'.Log.Tx.op_hi = t.Log.Tx.op_hi
@@ -191,12 +220,31 @@ let prop_tx_roundtrip =
                t.Log.Tx.entries t'.Log.Tx.entries
       | _ -> false)
 
+let prop_tx_encode_into_at_offset =
+  let gen_entry =
+    QCheck.Gen.(
+      map3
+        (fun addr s from_op -> Log.Mem_entry.make ?from_op ~addr (Bytes.of_string s))
+        (int_bound 100000) (string_size (0 -- 80)) (opt ui64))
+  in
+  QCheck.Test.make ~count:300 ~name:"encode_into at an offset"
+    (QCheck.make QCheck.Gen.(triple (list_size (0 -- 6) gen_entry) (1 -- 64) ui64))
+    (fun (entries, pos, op_hi) ->
+      let t = { Log.Tx.ds = pos; op_hi; entries } in
+      let size = Log.Tx.size t in
+      let buf = Bytes.make (pos + size + 8) '\xAA' in
+      Log.Tx.encode_into t buf ~pos = pos + size
+      &&
+      match Log.Tx.scan buf ~pos with
+      | Log.Tx.Record (t', consumed) -> consumed = size && t' = t
+      | _ -> false)
+
 let prop_tx_bitflip_never_parses_wrong =
   QCheck.Test.make ~count:300 ~name:"single bit flip -> torn or identical"
     (QCheck.make QCheck.Gen.(triple (list_size (1 -- 4) gen_entry) (int_bound 10000) small_nat))
     (fun (entries, seed, flip) ->
       let t = { Log.Tx.ds = seed mod 7; op_hi = Int64.of_int seed; entries } in
-      let b = Log.Tx.encode t in
+      let b = encode_tx t in
       let i = flip mod (Bytes.length b * 8) in
       let byte = i / 8 and bit = i mod 8 in
       Bytes.set_uint8 b byte (Bytes.get_uint8 b byte lxor (1 lsl bit));
@@ -222,7 +270,9 @@ let () =
           Alcotest.test_case "scan at offset" `Quick test_tx_scan_at_offset;
           Alcotest.test_case "wire size without pointers" `Quick
             test_wire_size_matches_encoded_without_pointers;
+          Alcotest.test_case "golden frame" `Quick test_tx_golden;
           QCheck_alcotest.to_alcotest prop_tx_roundtrip;
+          QCheck_alcotest.to_alcotest prop_tx_encode_into_at_offset;
           QCheck_alcotest.to_alcotest prop_tx_bitflip_never_parses_wrong;
         ] );
       ( "op",
@@ -231,5 +281,6 @@ let () =
           Alcotest.test_case "torn" `Quick test_op_torn;
           Alcotest.test_case "1-byte payload torn" `Quick test_op_one_byte_payload_torn;
           Alcotest.test_case "empty/wrap" `Quick test_op_empty_and_wrap;
+          Alcotest.test_case "golden frame" `Quick test_op_golden;
         ] );
     ]

@@ -7,6 +7,12 @@ open Asym_core
 open Asym_structs
 
 let check = Alcotest.check
+
+(* A transaction's frame in a buffer of its own. *)
+let encode_tx tx =
+  let b = Bytes.create (Log.Tx.size tx) in
+  ignore (Log.Tx.encode_into tx b ~pos:0);
+  b
 let lat = Latency.default
 let v s = Bytes.of_string s
 let bytes_eq = Alcotest.testable (fun fmt b -> Fmt.string fmt (Bytes.to_string b)) Bytes.equal
@@ -114,7 +120,7 @@ let test_case2b_torn_memlog_detected () =
   let ring_base, _ = Backend.memlog_ring bk ~session:(Client.session fe) in
   let cursors = Backend.session_cursors bk ~session:(Client.session fe) in
   let tx =
-    Log.Tx.encode
+    encode_tx
       {
         Log.Tx.ds = h.Types.id;
         op_hi = 99L;

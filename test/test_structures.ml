@@ -337,6 +337,28 @@ let test_bptree_splits () =
       (Bpt_c.find t ~key:(Int64.of_int i))
   done
 
+(* A cached lookup reads its nodes in place: no per-node decode into
+   arrays and boxed keys. The decoding tree allocated 926 minor words per
+   find on this rig; the budget is 60% of that. *)
+let test_bptree_find_allocation () =
+  let fe = mk_client ~cfg:(Client.rc ~cache_bytes:(8 * 1024 * 1024) ()) (mk_backend ()) in
+  let t = Bpt_c.attach ~cache_all_levels:true fe ~name:"alloc" in
+  let n = 2000 in
+  let key i = Int64.of_int (i * 7) in
+  for i = 0 to n - 1 do
+    Bpt_c.put t ~key:(key i) ~value:(Bytes.make 64 'v')
+  done;
+  for i = 0 to n - 1 do
+    ignore (Bpt_c.find t ~key:(key i))
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Bpt_c.find t ~key:(key i))
+  done;
+  let per_find = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_find >= 0.6 *. 926. then
+    Alcotest.failf "%.1f minor words per find, budget %.1f" per_find (0.6 *. 926.)
+
 let test_bptree_range () =
   let fe = mk_client (mk_backend ()) in
   let t = Bpt_c.attach fe ~name:"bpt" in
@@ -594,6 +616,7 @@ let () =
           Alcotest.test_case "semantics" `Quick test_bptree_semantics;
           Alcotest.test_case "splits (2000 keys)" `Quick test_bptree_splits;
           Alcotest.test_case "range scan" `Quick test_bptree_range;
+          Alcotest.test_case "find allocation budget" `Quick test_bptree_find_allocation;
           qt prop_bptree;
           qt prop_bpt_range;
         ] );

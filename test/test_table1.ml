@@ -13,6 +13,12 @@
 open Asym_sim
 open Asym_core
 
+(* A transaction's frame in a buffer of its own. *)
+let encode_tx tx =
+  let b = Bytes.create (Log.Tx.size tx) in
+  ignore (Log.Tx.encode_into tx b ~pos:0);
+  b
+
 let check = Alcotest.check
 let lat = Latency.default
 
@@ -72,7 +78,7 @@ let test_tx_write_atomicity_under_torn_write () =
   (* Build a two-entry transaction by hand, write it torn, and restart:
      neither entry may be applied. *)
   let tx =
-    Log.Tx.encode
+    encode_tx
       {
         Log.Tx.ds = h.Types.id;
         op_hi = 50L;
