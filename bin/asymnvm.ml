@@ -23,6 +23,14 @@ module Catalogue = Asym_structs.Catalogue
 
 let lat = Latency.default
 
+(* Bad input: a one-line message and a non-zero exit, before any work. *)
+let reject ?(status = 1) fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "asymnvm: %s@." msg;
+      exit status)
+    fmt
+
 (* -- tracing ---------------------------------------------------------------- *)
 
 let trace_arg =
@@ -34,21 +42,25 @@ let trace_arg =
           "Enable the observability subsystem for this run and write a Chrome trace_event \
            JSON document to $(docv) (loadable in Perfetto or chrome://tracing).")
 
+(* The nodes a command created, whose counters a traced run prints. *)
+type nodes = { mutable clients : Client.t list; mutable backends : Backend.t list }
+
 (* Run [f] with observability on when a trace file was requested; on the
    way out write the trace and print the plain-text summaries, even if
    [f] raised (a crash drill mid-run should still leave a trace). *)
 let with_trace file f =
+  let nodes = { clients = []; backends = [] } in
   match file with
-  | None -> f ()
+  | None -> f nodes
   | Some path ->
       Obs.set_enabled true;
       Obs.reset ();
-      Obs_report.reset_phases ();
-      Fun.protect f ~finally:(fun () ->
+      Fun.protect (fun () -> f nodes) ~finally:(fun () ->
           (try
              Obs.Export_chrome.write_file path;
              Asym_harness.Report.print (Obs_report.span_summary ());
-             Asym_harness.Report.print (Obs_report.counter_summary ());
+             Asym_harness.Report.print
+               (Obs_report.counters ~clients:nodes.clients ~backends:nodes.backends);
              Fmt.pr "@.trace: %d events (%d dropped) written to %s@."
                (List.length (Obs.Span.events ()))
                (Obs.Span.dropped ()) path
@@ -62,6 +74,7 @@ let with_trace file f =
 
 let layout_cmd =
   let run capacity_mb sessions slab =
+    if slab < 1 then reject "--slab must be >= 1 (got %d)" slab;
     let capacity = capacity_mb * 1024 * 1024 in
     let l =
       try Layout.compute ~capacity ~max_sessions:sessions ~slab_size:slab ()
@@ -103,10 +116,13 @@ module Bpt = Asym_structs.Pbptree.Make (Client)
 
 let demo_cmd =
   let run n trace =
-    with_trace trace @@ fun () ->
+    if n < 1 then reject "--ops must be >= 1 (got %d)" n;
+    with_trace trace @@ fun nodes ->
     let bk = Backend.create ~name:"backend" ~capacity:(64 * 1024 * 1024) lat in
     let clock = Clock.create ~name:"fe" () in
     let fe = Client.connect ~name:"fe" (Client.rcb ()) bk ~clock in
+    nodes.clients <- [ fe ];
+    nodes.backends <- [ bk ];
     let t = Bpt.attach fe ~name:"demo" in
     let rng = Asym_util.Rng.create ~seed:1L in
     for _ = 1 to n do
@@ -131,7 +147,7 @@ module H = Asym_structs.Phash.Make (Client)
 
 let drill_cmd =
   let run trace =
-    with_trace trace @@ fun () ->
+    with_trace trace @@ fun nodes ->
     let ok name cond =
       Fmt.pr "%-38s %s@." name (if cond then "OK" else "FAILED");
       if not cond then exit 1
@@ -144,6 +160,8 @@ let drill_cmd =
     Backend.attach_mirror bk m;
     let fe = Client.connect ~name:"fe" (Client.rcb ~batch_size:8 ()) bk
         ~clock:(Clock.create ~name:"fe" ()) in
+    nodes.clients <- [ fe ];
+    nodes.backends <- [ bk ];
     let h = H.attach ~nbuckets:256 fe ~name:"drill" in
     let reg = Asym_structs.Registry.create () in
     Asym_structs.Registry.register reg ~ds:(H.handle h).Types.id (H.replay h);
@@ -169,6 +187,7 @@ let drill_cmd =
     Backend.crash bk;
     (match Asym_cluster.Failover.failover ~dead:bk lat with
     | Some bk' ->
+        nodes.backends <- [ bk; bk' ];
         Client.switch_backend fe bk';
         let h = H.attach ~nbuckets:256 fe ~name:"drill" in
         ok "case 4: mirror promotion" (H.get h ~key:75L <> None)
@@ -254,7 +273,6 @@ let check_json_arg =
 
 let check_cmd =
   let run structure ops seed stride no_tear point tear_point fuzz fuzz_clients fault_drop json =
-    let reject fmt = Fmt.kstr (fun msg -> Fmt.epr "asymnvm: %s@." msg; exit 1) fmt in
     if ops < 0 then reject "--ops must be >= 0 (got %d)" ops;
     if stride < 1 then reject "--stride must be >= 1 (got %d)" stride;
     if fuzz_clients < 1 then reject "--fuzz-clients must be >= 1 (got %d)" fuzz_clients;
@@ -352,9 +370,7 @@ let check_cmd =
              ~finally:(fun () -> close_out oc)
              (fun () -> output_string oc (Obs.Json.to_string doc));
            Fmt.pr "wrote %s@." path
-         with Sys_error msg ->
-           Fmt.epr "asymnvm: cannot write %s: %s@." path msg;
-           exit 2));
+         with Sys_error msg -> reject ~status:2 "cannot write %s: %s" path msg));
     if !failed then exit 1
   in
   let structure =
@@ -423,35 +439,48 @@ let check_cmd =
 
 let trace_cmd =
   let run n out =
+    if n < 1 then reject "--ops must be >= 1 (got %d)" n;
     Obs.set_enabled true;
     Obs.reset ();
-    Obs_report.reset_phases ();
     let bk = Backend.create ~name:"backend" ~capacity:(64 * 1024 * 1024) lat in
     let clock = Clock.create ~name:"fe" () in
     let fe = Client.connect ~name:"fe" (Client.rcb ()) bk ~clock in
     let t = Bpt.attach fe ~name:"trace" in
     let rng = Asym_util.Rng.create ~seed:1L in
     let key () = Int64.of_int (Asym_util.Rng.int rng (4 * n)) in
-    Obs_report.phase "insert" (fun () ->
+    let phases =
+      Asym_harness.Report.create ~title:"Per-phase RDMA traffic of client fe"
+        ~header:[ "phase"; "rdma verbs"; "wire bytes" ]
+        ()
+    in
+    let phase label f =
+      let verbs = Client.rdma_ops fe and bytes = Client.rdma_bytes fe in
+      f ();
+      Asym_harness.Report.add_row phases
+        [
+          label;
+          string_of_int (Client.rdma_ops fe - verbs);
+          string_of_int (Client.rdma_bytes fe - bytes);
+        ]
+    in
+    phase "insert" (fun () ->
         for _ = 1 to n do
           let k = key () in
           Bpt.put t ~key:k ~value:(Bytes.of_string (Int64.to_string k))
         done;
         Client.flush fe);
-    Obs_report.phase "lookup" (fun () ->
+    phase "lookup" (fun () ->
         for _ = 1 to n do
           ignore (Bpt.find t ~key:(key ()))
         done);
-    Obs_report.phase "crash+recover" (fun () ->
+    phase "crash+recover" (fun () ->
         Client.crash fe;
         ignore (Client.recover fe));
     (try Obs.Export_chrome.write_file out
-     with Sys_error msg ->
-       Fmt.epr "asymnvm: cannot write trace: %s@." msg;
-       exit 1);
-    Asym_harness.Report.print (Obs_report.phases_report ());
+     with Sys_error msg -> reject "cannot write trace: %s" msg);
+    Asym_harness.Report.print phases;
     Asym_harness.Report.print (Obs_report.span_summary ());
-    Asym_harness.Report.print (Obs_report.counter_summary ());
+    Asym_harness.Report.print (Obs_report.counters ~clients:[ fe ] ~backends:[ bk ]);
     Fmt.pr "@.trace: %d events (%d dropped) over %a of virtual time written to %s@."
       (List.length (Obs.Span.events ()))
       (Obs.Span.dropped ()) Simtime.pp (Clock.now clock) out;
@@ -474,13 +503,14 @@ let trace_cmd =
 
 let profile_cmd =
   let run structure config preload ops =
+    if preload < 0 then reject "--preload must be >= 0 (got %d)" preload;
+    if ops < 1 then reject "--ops must be >= 1 (got %d)" ops;
     let kind =
       match Catalogue.of_name structure with
       | Some k -> k
       | None ->
-          Fmt.epr "asymnvm: unknown structure %S (one of: %s)@." structure
-            (String.concat " " (List.map Catalogue.label Catalogue.all));
-          exit 1
+          reject "unknown structure %S (one of: %s)" structure
+            (String.concat " " (List.map Catalogue.label Catalogue.all))
     in
     let cfg =
       match String.lowercase_ascii config with
@@ -488,9 +518,7 @@ let profile_cmd =
       | "r" -> Client.r ()
       | "rc" -> Client.rc ()
       | "rcb" -> Client.rcb ()
-      | other ->
-          Fmt.epr "asymnvm: unknown config %S (naive, r, rc or rcb)@." other;
-          exit 1
+      | other -> reject "unknown config %S (naive, r, rc or rcb)" other
     in
     (* The same drive `bench breakdown` uses: YCSB-A for key/value
        structures, pure pushes for the FIFO family. *)
@@ -533,15 +561,12 @@ let profile_cmd =
 
 let bench_diff_cmd =
   let run old_path new_path tolerance =
+    if not (Float.is_finite tolerance && tolerance >= 0.) then
+      reject ~status:2 "--tolerance must be a finite number >= 0 (got %g)" tolerance;
     let load path =
-      try Bench_json.of_file path
-      with
-      | Sys_error msg ->
-          Fmt.epr "asymnvm: cannot read %s: %s@." path msg;
-          exit 2
-      | Obs.Json.Parse_error msg ->
-          Fmt.epr "asymnvm: %s: malformed JSON: %s@." path msg;
-          exit 2
+      try Bench_json.of_file path with
+      | Sys_error msg -> reject ~status:2 "cannot read %s: %s" path msg
+      | Obs.Json.Parse_error msg -> reject ~status:2 "%s: malformed JSON: %s" path msg
     in
     let old_doc = load old_path in
     let new_doc = load new_path in

@@ -220,13 +220,9 @@ let apply_tx t ~at ~ring_base ~ring_off (tx : Log.Tx.t) raw =
   in
   let start = Timeline.acquire t.cpu_tl ~at ~dur in
   let stop = start + dur in
-  if Asym_obs.enabled () then begin
-    Asym_obs.Registry.inc "log.replayed_txs";
-    Asym_obs.Registry.add "log.replayed_entries" (List.length entries);
-    Asym_obs.Registry.add "log.replayed_bytes" (Bytes.length raw);
+  if Asym_obs.enabled () then
     Asym_obs.Span.complete ~cat:"log" ~track:(Timeline.name t.cpu_tl) ~ts:start ~dur
-      "log.replay_tx"
-  end;
+      "log.replay_tx";
   (match Hashtbl.find_opt t.ds_by_id tx.Log.Tx.ds with
   | Some r ->
       ignore (Device.fetch_add t.dev ~addr:r.sn 1L);
@@ -318,10 +314,8 @@ let replay_pending t ~at s =
            records, so re-applying is idempotent — but it must never
            move the covered OPN backwards. *)
         let covered_before = s.opn_covered in
-        if tx.Log.Tx.entries <> [] && Int64.compare tx.Log.Tx.op_hi covered_before <= 0 then begin
+        if tx.Log.Tx.entries <> [] && Int64.compare tx.Log.Tx.op_hi covered_before <= 0 then
           t.n_dup_replays <- t.n_dup_replays + 1;
-          if Asym_obs.enabled () then Asym_obs.Registry.inc "log.dup_replays"
-        end;
         time := apply_tx t ~at:!time ~ring_base ~ring_off:pos tx raw;
         if Int64.compare tx.Log.Tx.op_hi s.opn_covered > 0 then
           s.opn_covered <- tx.Log.Tx.op_hi;
@@ -369,6 +363,8 @@ let lock_timeline t addr =
       let tl = Timeline.create ~name:(Printf.sprintf "lock@%#x" addr) () in
       Hashtbl.replace t.locks addr tl;
       tl
+
+let timelines t = t.nic_tl :: t.cpu_tl :: List.of_seq (Hashtbl.to_seq_values t.locks)
 
 let conflict_overlaps t ~ds ~start_ ~stop =
   match Hashtbl.find_opt t.ds_by_id ds with
@@ -686,12 +682,9 @@ let rpc t ~conn ~session req =
   (* Queueing behind the back-end CPU is replay backlog, not RPC work. *)
   Clock.wait_until ~cause:Asym_obs.Attr.Replay_wait clk start;
   Clock.wait_until ~cause:Asym_obs.Attr.Alloc_rpc clk (start + proc);
-  if Asym_obs.enabled () then begin
-    let op = req_label req in
-    Asym_obs.Registry.inc ~labels:[ ("op", op) ] "backend.rpcs";
+  if Asym_obs.enabled () then
     Asym_obs.Span.complete ~cat:"rpc" ~track:(Timeline.name t.cpu_tl) ~ts:start ~dur:proc
-      ("rpc." ^ op)
-  end;
+      ("rpc." ^ req_label req);
   (* Response: one-sided read of the response slot. *)
   let respb = Rpc_msg.encode_response resp in
   let resp_payload = Latency.rdma_payload_ns t.lat (Bytes.length respb + 16) in

@@ -30,6 +30,10 @@ val name : t -> string
 val device : t -> Asym_nvm.Device.t
 val nic : t -> Asym_sim.Timeline.t
 val cpu : t -> Asym_sim.Timeline.t
+
+val timelines : t -> Asym_sim.Timeline.t list
+(** The NIC, the CPU and every writer-lock timeline, in that order. *)
+
 val latency : t -> Asym_sim.Latency.t
 val layout : t -> Layout.t
 

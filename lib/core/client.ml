@@ -6,15 +6,11 @@ type config = {
   use_cache : bool;
   cache_bytes : int;
   cache_policy : Cache.policy;
-  choose_set : int;
   page_size : int;
   batch_size : int;
   oplog_signaled : bool;
   flush_on_unlock : bool;
   pointer_wire_opt : bool;
-  retry_max : int;
-  retry_base_ns : int;
-  retry_cap_ns : int;
 }
 
 (* Managing an exact-LRU recency structure costs real instructions on
@@ -27,19 +23,11 @@ let base_config =
     use_cache = false;
     cache_bytes = 0;
     cache_policy = Cache.Hybrid;
-    choose_set = 32;
     page_size = 256;
     batch_size = 1;
     oplog_signaled = true;
     flush_on_unlock = false;
     pointer_wire_opt = true;
-    (* Retry policy for verbs lost to transient faults: up to [retry_max]
-       re-posts with capped exponential backoff starting at one round
-       trip, then the connection is treated as degraded and
-       re-established. *)
-    retry_max = 8;
-    retry_base_ns = 2_000;
-    retry_cap_ns = 200_000;
   }
 
 let naive () = { base_config with mode = `Direct }
@@ -133,8 +121,15 @@ let check_live t = if t.crashed then failwith (t.cname ^ ": client is crashed")
    and let the caller's failure handling take over. *)
 let max_reconnects_per_verb = 64
 
+(* Retry policy for verbs lost to transient faults: up to [retry_max]
+   re-posts with capped exponential backoff starting at one round trip,
+   then the connection is treated as degraded and re-established. *)
+let retry_max = 8
+let retry_base_ns = 2_000
+let retry_cap_ns = 200_000
+
 let backoff_ns t n =
-  let capped = min t.cfg.retry_cap_ns (t.cfg.retry_base_ns lsl min n 16) in
+  let capped = min retry_cap_ns (retry_base_ns lsl min n 16) in
   capped + Asym_util.Rng.int t.retry_rng (max 1 (capped / 4))
 
 (* Run [f], absorbing verbs lost to transient faults: re-post with capped
@@ -150,9 +145,8 @@ let with_retry t f =
   let rec go ~attempt ~reconnects =
     try f ()
     with Verbs.Verb_timeout _ as e ->
-      if attempt < t.cfg.retry_max then begin
+      if attempt < retry_max then begin
         t.n_fault_retries <- t.n_fault_retries + 1;
-        if Asym_obs.enabled () then Asym_obs.Registry.inc "client.fault_retries";
         Clock.advance ~cause:Asym_obs.Attr.Fault_retry t.clk (backoff_ns t attempt);
         go ~attempt:(attempt + 1) ~reconnects
       end
@@ -161,7 +155,6 @@ let with_retry t f =
            are untouched — nothing the lost verb was carrying has been
            acknowledged, so the resumed attempt simply re-posts it. *)
         t.n_reconnects <- t.n_reconnects + 1;
-        if Asym_obs.enabled () then Asym_obs.Registry.inc "client.reconnects";
         Asym_obs.Span.instant ~cat:"fault" ~track:t.cname ~ts:(Clock.now t.clk)
           "client.degraded_reconnect";
         Clock.advance ~cause:Asym_obs.Attr.Fault_retry t.clk (3 * t.lat.Latency.rdma_rtt_ns);
@@ -248,7 +241,7 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
   let cache =
     if cfg.use_cache then
       Some
-        (Cache.create ~choose_set:cfg.choose_set ~policy:cfg.cache_policy
+        (Cache.create ~policy:cfg.cache_policy
            ~page_size:cfg.page_size ~capacity_bytes:cfg.cache_bytes rng)
     else None
   in
@@ -345,12 +338,8 @@ let read_via_cache t c ~addr ~len =
           Clock.advance t.clk
             (t.lat.Latency.dram_ns
             + if t.cfg.cache_policy = Cache.Lru then lru_touch_ns else 0);
-          if Asym_obs.enabled () then
-            Asym_obs.Registry.inc ~labels:[ ("event", "hit") ] "client.cache";
           b
       | None ->
-          if Asym_obs.enabled () then
-            Asym_obs.Registry.inc ~labels:[ ("event", "miss") ] "client.cache";
           let cap = Asym_nvm.Device.capacity (Backend.device t.bk) in
           let plen = min page (cap - page_base) in
           let b = with_retry t (fun () -> Verbs.read t.conn ~addr:page_base ~len:plen) in
@@ -419,11 +408,9 @@ let oplog_append ?(signaled = None) t raw =
   t.oplog_head <- offset + len;
   Backend.note_heads t.bk ~session:t.sid ~oplog_head:t.oplog_head ();
   Backend.replicate_raw t.bk ~at:(Clock.now t.clk) ~addr:(ring_base + offset) raw;
-  if Asym_obs.enabled () then begin
-    Asym_obs.Registry.add "log.appended_bytes" len;
+  if Asym_obs.enabled () then
     Asym_obs.Span.complete ~cat:"log" ~track:t.cname ~ts:obs_t0
-      ~dur:(Clock.now t.clk - obs_t0) "oplog.append"
-  end;
+      ~dur:(Clock.now t.clk - obs_t0) "oplog.append";
   offset
 
 let op_begin t ~ds ~optype ~params =
@@ -585,12 +572,9 @@ let flush t =
     t.pending_bytes <- 0;
     t.pending_op_list <- [];
     t.n_flushes <- t.n_flushes + 1;
-    if Asym_obs.enabled () then begin
-      Asym_obs.Registry.inc "client.flushes";
-      Asym_obs.Registry.add "log.tx_wire_bytes" wire;
+    if Asym_obs.enabled () then
       Asym_obs.Span.complete ~cat:"log" ~track:t.cname ~ts:obs_t0
         ~dur:(Clock.now t.clk - obs_t0) "client.flush"
-    end
   end;
   Overlay.clear t.overlay;
   t.ops_since_flush <- 0
@@ -607,7 +591,7 @@ let persist_fence t =
   Clock.wait_until ~cause:Asym_obs.Attr.Replay_wait t.clk
     (Timeline.free_at (Backend.cpu t.bk))
 
-let op_end t ~ds =
+let op_end t ~ds:_ =
   check_live t;
   Clock.advance t.clk t.lat.Latency.cpu_op_ns;
   t.cur_op <- None;
@@ -615,22 +599,13 @@ let op_end t ~ds =
   t.ops_since_flush <- t.ops_since_flush + 1;
   if Asym_obs.enabled () then begin
     let now = Clock.now t.clk in
-    Asym_obs.Registry.inc ~labels:[ ("ds", string_of_int ds) ] "client.ops";
-    Asym_obs.Registry.observe "client.op_ns" (float_of_int (now - t.op_started));
     (* Per-operation breakdown: everything charged since op_begin, by
-       cause — into histograms and onto the op span for the trace. *)
-    let by_cause =
-      List.filter
-        (fun (_, v) -> v > 0)
+       cause, onto the op span for the trace. *)
+    let args =
+      List.filter_map
+        (fun (c, v) -> if v > 0 then Some (Asym_obs.Attr.name c, v) else None)
         (Asym_obs.Attr.local_since (Clock.attr t.clk) t.attr_mark)
     in
-    List.iter
-      (fun (c, v) ->
-        Asym_obs.Registry.observe
-          ~labels:[ ("cause", Asym_obs.Attr.name c) ]
-          "attr.op_ns" (float_of_int v))
-      by_cause;
-    let args = List.map (fun (c, v) -> (Asym_obs.Attr.name c, v)) by_cause in
     Asym_obs.Span.complete ~cat:"core" ~args ~track:t.cname ~ts:t.op_started
       ~dur:(now - t.op_started) "client.op"
   end;
@@ -755,7 +730,6 @@ let read_section ?(retry_on = `Conflict) t (h : Types.handle) f =
     if conflicted && n < max_read_retries then begin
       t.n_retries <- t.n_retries + 1;
       if Asym_obs.enabled () then begin
-        Asym_obs.Registry.inc "client.read_retries";
         (* The failed attempt's time was wasted, whatever it was spent
            on: re-classify it as retry cost (total preserved). *)
         match amark with
@@ -842,11 +816,9 @@ let recover t =
   let bytes = List.fold_left (fun acc o -> acc + Bytes.length o.Log.Op_entry.params + 22) 0 ops in
   Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.clk t.lat.Latency.rdma_rtt_ns;
   Clock.advance ~cause:Asym_obs.Attr.Rdma_bytes t.clk (Latency.rdma_payload_ns t.lat bytes);
-  if Asym_obs.enabled () then begin
-    Asym_obs.Registry.add "log.recovered_ops" (List.length ops);
+  if Asym_obs.enabled () then
     Asym_obs.Span.complete ~cat:"fault" ~track:t.cname ~ts:obs_t0
-      ~dur:(Clock.now t.clk - obs_t0) "client.recover"
-  end;
+      ~dur:(Clock.now t.clk - obs_t0) "client.recover";
   ops
 
 let reconnect_after_backend_restart t =

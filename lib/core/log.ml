@@ -59,10 +59,6 @@ module Tx = struct
     in
     Bytes.set_uint8 buf p tag_commit;
     Bytes.set_int32_le buf (p + 1) (Crc32.digest buf ~pos ~len:(p + 1 - pos));
-    if Asym_obs.enabled () then begin
-      Asym_obs.Registry.inc "log.tx_encoded";
-      Asym_obs.Registry.add "log.tx_encoded_bytes" (p + 5 - pos)
-    end;
     p + 5
 
   (* Wire cost, not stored size. Header (1+4+8+4) + per entry (1+8+4 +
@@ -138,10 +134,6 @@ module Op_entry = struct
     Bytes.set_int32_le raw 14 (Int32.of_int plen);
     Bytes.blit t.params 0 raw 18 plen;
     Bytes.set_int32_le raw body (Crc32.digest raw ~pos:0 ~len:body);
-    if Asym_obs.enabled () then begin
-      Asym_obs.Registry.inc "log.op_encoded";
-      Asym_obs.Registry.add "log.op_encoded_bytes" (body + 4)
-    end;
     raw
 
   type scan_result = Record of t * int | Torn | Wrap | Empty

@@ -7,67 +7,23 @@ module Obs = Asym_obs
 open Asym_sim
 module Catalogue = Asym_structs.Catalogue
 
-type cell = {
-  kind : Catalogue.kind;
-  config : string;
-  res : Runner.result;
-  attr : (Obs.Attr.cause * int) list;  (** ns per cause over the measured window *)
-  round_trips : int;  (** signaled verbs posted (each pays a full RTT) *)
-  resources : (string * int * int) list;  (** resource, queue ns, service ns *)
-}
+type cell = { kind : Catalogue.kind; config : string; res : Runner.result }
 
-let attr_ns cell cause = match List.assoc_opt cause cell.attr with Some v -> v | None -> 0
-let attr_total cell = List.fold_left (fun acc (_, v) -> acc + v) 0 cell.attr
+let attr_ns cell cause =
+  match List.assoc_opt cause cell.res.Runner.attr with Some v -> v | None -> 0
 
-(* One Table-3-style cell with observability forced on; the measured
-   window's registry snapshot (Runner wraps it in Obs_report.phase) is
-   parsed back into the cell. *)
+let attr_total cell = List.fold_left (fun acc (_, v) -> acc + v) 0 cell.res.Runner.attr
+
+(* One Table-3-style cell with observability forced on, so the measured
+   window's attribution is charged. *)
 let run_cell ?(shared = false) ?put_ratio ?dist ~rig ~cfg ~preload ~ops kind =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      Obs_report.reset_phases ();
-      Obs.reset ();
       let res = Runner.run_asym ~shared ?put_ratio ?dist ~rig ~cfg ~kind ~preload ~ops () in
-      let snap =
-        match List.rev (Obs_report.phase_snapshots ()) with
-        | (_, json) :: _ -> json
-        | [] -> Obs.Json.Obj []
-      in
-      let attr =
-        List.filter_map
-          (fun (labels, v) ->
-            Option.bind (List.assoc_opt "cause" labels) Obs.Attr.of_name
-            |> Option.map (fun c -> (c, v)))
-          (Obs_report.counter_series "attr.ns" snap)
-      in
-      let round_trips =
-        List.fold_left
-          (fun acc (labels, v) ->
-            if List.assoc_opt "op" labels = Some "write_unsignaled" then acc else acc + v)
-          0
-          (Obs_report.counter_series "rdma.verbs" snap)
-      in
-      let resources =
-        let get name =
-          List.filter_map
-            (fun (labels, v) ->
-              Option.map (fun r -> (r, v)) (List.assoc_opt "resource" labels))
-            (Obs_report.counter_series name snap)
-        in
-        let queue = get "timeline.queue_ns" and service = get "timeline.service_ns" in
-        let names =
-          List.sort_uniq compare (List.map fst queue @ List.map fst service)
-        in
-        List.map
-          (fun r ->
-            let v xs = match List.assoc_opt r xs with Some v -> v | None -> 0 in
-            (r, v queue, v service))
-          names
-      in
-      { kind; config = Asym_core.Client.config_name cfg; res; attr; round_trips; resources })
+      { kind; config = Asym_core.Client.config_name cfg; res })
 
 (* -- tables ------------------------------------------------------------------ *)
 
@@ -101,7 +57,7 @@ let table cells =
            cl.config;
            Report.kops cl.res.Runner.kops;
            Printf.sprintf "%.2f" (per_op cl total /. 1e3);
-           Printf.sprintf "%.1f" (per_op cl cl.round_trips);
+           Printf.sprintf "%.1f" (per_op cl cl.res.Runner.round_trips);
          ]
         @ List.map
             (fun c -> Report.pct (float_of_int (attr_ns cl c) /. float_of_int (max 1 total)))
@@ -141,7 +97,7 @@ let resource_table cells =
               Printf.sprintf "%.1f" (float_of_int s /. 1e3);
               Report.pct (float_of_int q /. float_of_int (max 1 (q + s)));
             ])
-        cl.resources)
+        cl.res.Runner.resources)
     cells;
   t
 
@@ -169,7 +125,7 @@ let checks cells =
     | Some cl ->
         let rtt = attr_ns cl Obs.Attr.Rdma_rtt in
         let dominant =
-          List.for_all (fun (c, v) -> c = Obs.Attr.Rdma_rtt || v <= rtt) cl.attr
+          List.for_all (fun (c, v) -> c = Obs.Attr.Rdma_rtt || v <= rtt) cl.res.Runner.attr
         in
         check "naive_rtt_dominant" dominant
           (Printf.sprintf "naive BPT: rdma_rtt %.0f%% of op time"

@@ -4,14 +4,8 @@
     service, from the timelines). Behind `bench breakdown` and
     `asymnvm profile`. *)
 
-type cell = {
-  kind : Asym_structs.Catalogue.kind;
-  config : string;
-  res : Runner.result;
-  attr : (Asym_obs.Attr.cause * int) list;  (** ns per cause, measured window *)
-  round_trips : int;  (** signaled verbs (each pays a full RTT in client latency) *)
-  resources : (string * int * int) list;  (** resource, queue ns, service ns *)
-}
+type cell = { kind : Asym_structs.Catalogue.kind; config : string; res : Runner.result }
+(** The cell's attribution, round trips and resources are [res]'s. *)
 
 val run_cell :
   ?shared:bool -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution ->

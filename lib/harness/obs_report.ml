@@ -1,4 +1,5 @@
 module Obs = Asym_obs
+open Asym_core
 
 let span_summary ?(top = 15) () =
   let t =
@@ -24,93 +25,56 @@ let span_summary ?(top = 15) () =
          dropped);
   t
 
-let counter_summary ?(top = 15) () =
+(* -- typed counters -------------------------------------------------------- *)
+
+let counters ~clients ~backends =
   let t =
-    Report.create ~title:"Observability: top counters" ~header:[ "counter"; "value" ] ()
-  in
-  List.iter
-    (fun (r : Obs.Summary.counter_row) ->
-      Report.add_row t [ r.Obs.Summary.cname; string_of_int r.Obs.Summary.value ])
-    (Obs.Summary.counters ~top ());
-  t
-
-(* -- phases -------------------------------------------------------------- *)
-
-let snapshots : (string * Obs.Json.t) list ref = ref []
-
-let phase label f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    (* Start from a clean registry AND attribution sink, so the snapshot
-       is exactly this phase's charges; the sink is folded into
-       [attr.ns{cause=...}] counters before snapshotting. *)
-    Obs.Registry.reset ();
-    Obs.Attr.reset ();
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Attr.flush_to_registry ();
-        snapshots := !snapshots @ [ (label, Obs.Registry.to_json ()) ];
-        Obs.Registry.reset ())
-      f
-  end
-
-let phase_snapshots () = !snapshots
-let reset_phases () = snapshots := []
-
-(* Pull one counter total back out of a snapshot document. *)
-let counter_total name json =
-  match Obs.Json.member "counters" json with
-  | Some (Obs.Json.List series) ->
-      List.fold_left
-        (fun acc s ->
-          match (Obs.Json.member "name" s, Obs.Json.member "value" s) with
-          | Some (Obs.Json.String n), Some v when n = name -> acc + Obs.Json.to_int v
-          | _ -> acc)
-        0 series
-  | _ -> 0
-
-(* All (labels, value) points of one counter in a snapshot document. *)
-let counter_series name json =
-  match Obs.Json.member "counters" json with
-  | Some (Obs.Json.List series) ->
-      List.filter_map
-        (fun s ->
-          match (Obs.Json.member "name" s, Obs.Json.member "value" s) with
-          | Some (Obs.Json.String n), Some v when n = name ->
-              let labels =
-                match Obs.Json.member "labels" s with
-                | Some (Obs.Json.Obj kvs) ->
-                    List.map (fun (k, j) -> (k, Obs.Json.to_str j)) kvs
-                | _ -> []
-              in
-              Some (labels, Obs.Json.to_int v)
-          | _ -> None)
-        series
-  | _ -> []
-
-let count_series json =
-  [ "counters"; "gauges"; "histograms" ]
-  |> List.fold_left
-       (fun acc k ->
-         match Obs.Json.member k json with
-         | Some (Obs.Json.List xs) -> acc + List.length xs
-         | _ -> acc)
-       0
-
-let phases_report () =
-  let t =
-    Report.create ~title:"Observability: per-phase snapshots"
-      ~header:[ "phase"; "series"; "rdma verbs"; "wire bytes" ]
+    Report.create ~title:"Counters: typed totals kept by each node"
+      ~header:[ "node"; "counter"; "value" ]
+      ~notes:[ "counters that stayed at 0 are left out" ]
       ()
   in
+  let rows node kvs =
+    List.iter (fun (k, v) -> if v <> 0 then Report.add_row t [ node; k; string_of_int v ]) kvs
+  in
   List.iter
-    (fun (label, json) ->
-      Report.add_row t
+    (fun c ->
+      let hits, misses = Client.cache_stats c in
+      rows (Client.name c)
         [
-          label;
-          string_of_int (count_series json);
-          string_of_int (counter_total "rdma.verbs" json);
-          string_of_int (counter_total "rdma.wire_bytes" json);
+          ("ops", Client.ops_executed c);
+          ("rdma verbs", Client.rdma_ops c);
+          ("round trips", Asym_rdma.Verbs.round_trips (Client.connection c));
+          ("wire bytes", Client.rdma_bytes c);
+          ("flushes", Client.flushes c);
+          ("cache hits", hits);
+          ("cache misses", misses);
+          ("read retries", Client.read_retries c);
+          ("fault retries", Client.fault_retries c);
+          ("reconnects", Client.reconnects c);
+          ("lock wait ns", Client.lock_wait_ns c);
         ])
-    !snapshots;
+    clients;
+  List.iter
+    (fun bk ->
+      let dev = Backend.device bk in
+      rows (Backend.name bk)
+        ([
+           ("rpcs served", Backend.rpcs_served bk);
+           ("replayed txs", Backend.replayed_txs bk);
+           ("replayed entries", Backend.replayed_entries bk);
+           ("dup replays", Backend.dup_replays_absorbed bk);
+           ("nvm reads", Asym_nvm.Device.reads_performed dev);
+           ("nvm writes", Asym_nvm.Device.writes_performed dev);
+           ("nvm bytes written", Asym_nvm.Device.bytes_written dev);
+         ]
+        @ List.concat_map
+            (fun tl ->
+              let n = Asym_sim.Timeline.name tl in
+              [
+                (n ^ " busy ns", Asym_sim.Timeline.busy_total tl);
+                (n ^ " queued ns", Asym_sim.Timeline.queued_total tl);
+              ])
+            (Backend.timelines bk)))
+    backends;
   t

@@ -1,36 +1,12 @@
-(** Plain-text rendering of the observability subsystem's aggregates
-    through {!Report}, plus per-phase metric scoping for multi-phase
-    experiments.
-
-    Everything here is cheap and safe to call with observability
-    disabled: the reports come out empty and {!phase} only runs its
-    body. *)
+(** Plain-text rendering of a traced run through {!Report}: the span
+    ring's aggregates and the typed counters each node keeps. Safe to
+    call with observability disabled (the span summary comes out
+    empty). *)
 
 val span_summary : ?top:int -> unit -> Report.t
 (** Top-N spans by total simulated time (count / total / mean / max). *)
 
-val counter_summary : ?top:int -> unit -> Report.t
-(** Top-N counters by value, labels rendered inline. *)
-
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase label f] scopes the metrics registry to [f]: the registry and
-    the attribution sink are cleared on entry; on completion the sink is
-    folded into [attr.ns{cause=...}] counters, the registry is
-    snapshotted under [label] (see {!phase_snapshots}) and reset, so each
-    experiment phase starts from zero. The span ring is left alone —
-    traces span phases. No-op wrapper while disabled. *)
-
-val phase_snapshots : unit -> (string * Asym_obs.Json.t) list
-(** Snapshots collected by {!phase}, oldest first. *)
-
-val counter_total : string -> Asym_obs.Json.t -> int
-(** Sum of one counter's points (across labels) in a phase snapshot. *)
-
-val counter_series : string -> Asym_obs.Json.t -> ((string * string) list * int) list
-(** All (labels, value) points of one counter in a phase snapshot. *)
-
-val reset_phases : unit -> unit
-
-val phases_report : unit -> Report.t
-(** One row per collected phase: counter count and total RDMA verbs, a
-    quick cross-phase orientation table. *)
+val counters : clients:Asym_core.Client.t list -> backends:Asym_core.Backend.t list -> Report.t
+(** One row per non-zero counter of each client (verbs, round trips,
+    bytes, flushes, cache, retries) and each back-end (RPCs, replay,
+    NVM media, and every timeline's busy and queued time). *)

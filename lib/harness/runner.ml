@@ -109,6 +109,9 @@ type result = {
   lat_mean_us : float;
   lat_p50_us : float;
   lat_p99_us : float;
+  attr : (Asym_obs.Attr.cause * int) list;
+  round_trips : int;
+  resources : (string * int * int) list;
 }
 
 let measure ~clock ~ops f =
@@ -162,6 +165,31 @@ let drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace ~ops ~seed inst =
   in
   measure_latencies ~clock ~ops (fun i -> one_op inst ~fifo ~value_size ~put_ratio ~rng gen i)
 
+let timeline_totals bk =
+  List.map
+    (fun tl -> (Timeline.name tl, (Timeline.queued_total tl, Timeline.busy_total tl)))
+    (Backend.timelines bk)
+
+(* Run [f] as client [c]'s measured window and sample the typed counters
+   around it: per-cause attribution, the connection's round trips, and
+   the queue/busy deltas of every back-end timeline that moved. *)
+let window rig c f =
+  let attr0 = Asym_obs.Attr.snapshot () in
+  let rtts0 = Asym_rdma.Verbs.round_trips (Client.connection c) in
+  let tl0 = timeline_totals rig.bk in
+  let x = f () in
+  let resources =
+    List.filter_map
+      (fun (name, (q, b)) ->
+        let q0, b0 = Option.value (List.assoc_opt name tl0) ~default:(0, 0) in
+        if q = q0 && b = b0 then None else Some (name, q - q0, b - b0))
+      (timeline_totals rig.bk)
+  in
+  ( x,
+    Asym_obs.Attr.since attr0,
+    Asym_rdma.Verbs.round_trips (Client.connection c) - rtts0,
+    List.sort compare resources )
+
 (* One Table-3-style cell on the AsymNVM architecture: preload through a
    throwaway client, then measure on a fresh client with the target
    configuration (cache sized as a fraction of the NVM in use). *)
@@ -186,12 +214,8 @@ let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_rati
   let retries0 = Client.read_retries c in
   let hits0, misses0 = Client.cache_stats c in
   let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
-  let kops, elapsed, lats =
-    (* When observability is on, each measured cell becomes one metrics
-       phase: snapshot + reset, so counters are per-cell. *)
-    Obs_report.phase
-      (nm ^ "." ^ Client.config_name cfg)
-      (fun () ->
+  let (kops, elapsed, lats), attr, round_trips, resources =
+    window rig c (fun () ->
         drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
   in
   let hits1, misses1 = Client.cache_stats c in
@@ -207,6 +231,9 @@ let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_rati
     lat_mean_us = Asym_util.Stats.mean lats;
     lat_p50_us = Asym_util.Stats.percentile lats 50.0;
     lat_p99_us = Asym_util.Stats.percentile lats 99.0;
+    attr;
+    round_trips;
+    resources;
   }
 
 (* A Figure-13 style run: the synthetic industry trace (power-law keys,
@@ -229,10 +256,8 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
       rng
   in
   let clock = Client.clock c in
-  let kops, elapsed, lats =
-    Obs_report.phase
-      (nm ^ ".trace." ^ Client.config_name cfg)
-      (fun () ->
+  let (kops, elapsed, lats), attr, round_trips, resources =
+    window rig c (fun () ->
         measure_latencies ~clock ~ops (fun _ ->
             match Asym_workload.Trace.next tr with
             | Asym_workload.Trace.Push v -> inst.push v
@@ -252,6 +277,9 @@ let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~op
     lat_mean_us = Asym_util.Stats.mean lats;
     lat_p50_us = Asym_util.Stats.percentile lats 50.0;
     lat_p99_us = Asym_util.Stats.percentile lats 99.0;
+    attr;
+    round_trips;
+    resources;
   }
 
 (* The same cell on the symmetric baseline. *)
@@ -266,8 +294,7 @@ let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Un
   in
   preload_instance inst ~fifo ~n:preload ~value_size;
   let kops, elapsed, lats =
-    Obs_report.phase (nm ^ ".sym") (fun () ->
-        drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
+    drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst
   in
   {
     kops;
@@ -281,4 +308,7 @@ let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Un
     lat_mean_us = Asym_util.Stats.mean lats;
     lat_p50_us = Asym_util.Stats.percentile lats 50.0;
     lat_p99_us = Asym_util.Stats.percentile lats 99.0;
+    attr = [];
+    round_trips = 0;
+    resources = [];
   }

@@ -60,6 +60,12 @@ type result = {
   lat_mean_us : float;  (** mean per-operation virtual latency *)
   lat_p50_us : float;
   lat_p99_us : float;
+  attr : (Asym_obs.Attr.cause * int) list;
+      (** ns per cause over the measured window, every cause listed (all
+          zero unless observability is on; empty for symmetric runs) *)
+  round_trips : int;  (** signaled verbs, lock probes included (each pays a full RTT) *)
+  resources : (string * int * int) list;
+      (** back-end timelines that moved, by name: resource, queue ns, busy ns *)
 }
 
 val measure : clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) -> float * Asym_sim.Simtime.t

@@ -60,13 +60,6 @@ let check t addr len =
       (Printf.sprintf "Nvm.Device %s: access out of bounds (addr=%d len=%d cap=%d)" t.name addr
          len t.capacity)
 
-let obs_media t ~op ~len =
-  if Asym_obs.enabled () then begin
-    let labels = [ ("op", op); ("dev", t.name) ] in
-    Asym_obs.Registry.inc ~labels "nvm.media";
-    Asym_obs.Registry.add ~labels "nvm.media_bytes" len
-  end
-
 (* -- chunk table -------------------------------------------------------- *)
 
 (* Chunk [i]'s own buffer, allocated (zero-filled) if it has none yet. *)
@@ -168,21 +161,18 @@ let save_pre_image t addr len =
 
 let count_write t len =
   t.writes <- t.writes + 1;
-  t.bytes_written <- t.bytes_written + len;
-  obs_media t ~op:"write" ~len
+  t.bytes_written <- t.bytes_written + len
 
 (* -- access ------------------------------------------------------------- *)
 
 let read t ~addr ~len =
   check t addr len;
   t.reads <- t.reads + 1;
-  obs_media t ~op:"read" ~len;
   get t addr len
 
 let read_u64 t ~addr =
   check t addr 8;
   t.reads <- t.reads + 1;
-  obs_media t ~op:"read" ~len:8;
   get_u64 t addr
 
 let write t ~addr b =

@@ -1,5 +1,6 @@
-(** Sim-time observability: a metrics registry, a span tracer and
-    exporters, shared by every layer of the stack.
+(** Sim-time observability: latency attribution, a span tracer and
+    exporters, shared by every layer of the stack. Counters are not kept
+    here: each node owns typed counters that are always on.
 
     The whole subsystem hangs off one global switch: {!set_enabled}. It
     is off by default and every recording entry point starts with the
@@ -7,7 +8,6 @@
     tracing is not requested (see DESIGN.md, "Observability"). *)
 
 module Json = Json
-module Registry = Registry
 module Attr = Attr
 module Span = Span
 module Export_chrome = Export_chrome
@@ -17,6 +17,5 @@ let set_enabled = Gate.set_enabled
 let enabled = Gate.enabled
 
 let reset () =
-  Registry.reset ();
   Attr.reset ();
   Span.reset ()

@@ -56,19 +56,6 @@ let name = function
   | Fault_retry -> "fault_retry"
   | Local_compute -> "local_compute"
 
-let of_name = function
-  | "rdma_rtt" -> Some Rdma_rtt
-  | "rdma_bytes" -> Some Rdma_bytes
-  | "nic_queue" -> Some Nic_queue
-  | "nvm_media" -> Some Nvm_media
-  | "lock_wait" -> Some Lock_wait
-  | "read_retry" -> Some Read_retry
-  | "replay_wait" -> Some Replay_wait
-  | "alloc_rpc" -> Some Alloc_rpc
-  | "fault_retry" -> Some Fault_retry
-  | "local_compute" -> Some Local_compute
-  | _ -> None
-
 let sink = Array.make ncauses 0
 
 let charge cause d = if Gate.enabled () && d > 0 then
@@ -169,18 +156,3 @@ let local_reattribute l ~since:snap cause =
     l.(i) <- l.(i) + !moved;
     sink.(i) <- sink.(i) + !moved
   end
-
-let breakdown () =
-  List.filter_map (fun c -> match get c with 0 -> None | v -> Some (c, v)) all
-
-(* Move the accumulated sink into registry counters (attr.ns{cause=...})
-   and clear it — called at the end of each harness phase so every
-   snapshot carries its own attribution section. *)
-let flush_to_registry () =
-  List.iter
-    (fun (c, v) -> Registry.add ~labels:[ ("cause", name c) ] "attr.ns" v)
-    (breakdown ());
-  reset ()
-
-let to_json () =
-  Json.Obj (List.map (fun c -> (name c, Json.Int (get c))) all)

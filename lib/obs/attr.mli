@@ -22,15 +22,12 @@ type cause =
 
 val all : cause list
 val name : cause -> string
-val of_name : string -> cause option
 
 val charge : cause -> int -> unit
 (** Add [d] ns to a cause (no-op when disabled or [d <= 0]). *)
 
 val get : cause -> int
 val total : unit -> int
-val breakdown : unit -> (cause * int) list
-(** Non-zero causes only. *)
 
 val reset : unit -> unit
 
@@ -69,8 +66,3 @@ val local_reattribute : local -> since:snapshot -> cause -> unit
 (** {!reattribute} over one clock's window; the same deltas are mirrored
     into the global sink. *)
 
-val flush_to_registry : unit -> unit
-(** Move the sink into [attr.ns{cause=...}] registry counters and clear
-    it (phase scoping). *)
-
-val to_json : unit -> Json.t

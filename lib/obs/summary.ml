@@ -30,23 +30,6 @@ let spans ?(top = 15) () =
   |> List.sort (fun a b -> compare (b.total_ns, b.sname) (a.total_ns, a.sname))
   |> take top
 
-type counter_row = { cname : string; value : int }
-
-let render_name name labels =
-  match labels with
-  | [] -> name
-  | ls ->
-      name ^ "{"
-      ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-      ^ "}"
-
-let counters ?r ?(top = 15) () =
-  Registry.fold_counters ?r
-    (fun name labels value rows -> { cname = render_name name labels; value } :: rows)
-    []
-  |> List.sort (fun a b -> compare (b.value, b.cname) (a.value, a.cname))
-  |> take top
-
 let format_ns ns =
   if ns >= 1_000_000_000 then Printf.sprintf "%.3fs" (float_of_int ns /. 1e9)
   else if ns >= 1_000_000 then Printf.sprintf "%.3fms" (float_of_int ns /. 1e6)

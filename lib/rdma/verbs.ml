@@ -35,6 +35,7 @@ type conn = {
   lat : Latency.t;
   mutable failed : bool;
   mutable ops : int;
+  mutable rtts : int;
   mutable wire_bytes : int;
   mutable fault : (Fault.t * Asym_util.Rng.t) option;
   mutable grey : (Simtime.t * Simtime.t) list;  (* armed grey windows *)
@@ -50,6 +51,7 @@ let connect ~client ~remote_nic ~remote_mem lat =
     lat;
     failed = false;
     ops = 0;
+    rtts = 0;
     wire_bytes = 0;
     fault = None;
     grey = [];
@@ -121,8 +123,6 @@ let fate t ~atomic =
 let lose t ~op =
   t.n_timeouts <- t.n_timeouts + 1;
   Clock.advance ~cause:Asym_obs.Attr.Fault_retry t.client (timeout_ns t);
-  if Asym_obs.enabled () then
-    Asym_obs.Registry.inc ~labels:[ ("op", op) ] "rdma.verb_timeouts";
   raise (Verb_timeout (op ^ "/" ^ Asym_nvm.Device.name t.remote_mem))
 
 let inject_delay t d =
@@ -134,25 +134,19 @@ let inject_delay t d =
 let check_alive t =
   if t.failed then raise (Failure_detected (Asym_nvm.Device.name t.remote_mem))
 
-(* Per-verb accounting: a counter, wire bytes, and a span occupying the
-   remote NIC's track for the verb's service slot. One branch when
-   observability is off. *)
-let obs_verb t ~op ~wire ~start ~dur =
-  if Asym_obs.enabled () then begin
-    let labels = [ ("op", op) ] in
-    Asym_obs.Registry.inc ~labels "rdma.verbs";
-    Asym_obs.Registry.add ~labels "rdma.wire_bytes" wire;
-    Asym_obs.Registry.add "rdma.nic_busy_ns" dur;
+(* A span occupying the remote NIC's track for the verb's service slot.
+   One branch when observability is off. *)
+let obs_verb t ~op ~start ~dur =
+  if Asym_obs.enabled () then
     Asym_obs.Span.complete ~cat:"rdma" ~track:(Timeline.name t.remote_nic) ~ts:start ~dur
       ("rdma." ^ op)
-  end
 
 (* Occupy the remote NIC for the service time of the verb, then charge the
    client for the end-to-end completion. NVM media time adds to the
    client-visible latency but does not occupy the NIC (DMA engines
    pipeline it). Returns the absolute completion time at the remote
    side. *)
-let round_trip t ~op ~wire ~service ~media =
+let round_trip t ~op ~service ~media =
   let at = Clock.now t.client in
   let dur = t.lat.Latency.rdma_post_ns + service in
   let start = Timeline.acquire t.remote_nic ~at ~dur in
@@ -164,7 +158,8 @@ let round_trip t ~op ~wire ~service ~media =
   Clock.advance ~cause:Asym_obs.Attr.Rdma_bytes t.client service;
   Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
   t.ops <- t.ops + 1;
-  obs_verb t ~op ~wire ~start ~dur;
+  t.rtts <- t.rtts + 1;
+  obs_verb t ~op ~start ~dur;
   start + dur + media
 
 (* Every verb validates before charging: an optimistic reader chasing a
@@ -185,7 +180,7 @@ let read t ~addr ~len =
   | Deliver d -> inject_delay t d);
   let service = Latency.rdma_payload_ns t.lat len in
   let media = Asym_nvm.Device.read_cost t.remote_mem ~len in
-  let _done_at = round_trip t ~op:"read" ~wire:len ~service ~media in
+  let _done_at = round_trip t ~op:"read" ~service ~media in
   t.wire_bytes <- t.wire_bytes + len;
   Asym_nvm.Device.read t.remote_mem ~addr ~len
 
@@ -210,7 +205,7 @@ let write ?wire_len t ~addr b =
       lose t ~op:"write"
   | _ ->
       inject_delay t (match verdict with Deliver d -> d | Lost _ -> 0);
-      let _done_at = round_trip t ~op:"write" ~wire:len ~service ~media in
+      let _done_at = round_trip t ~op:"write" ~service ~media in
       t.wire_bytes <- t.wire_bytes + len;
       Asym_nvm.Device.write t.remote_mem ~addr b
 
@@ -233,7 +228,7 @@ let write_unsignaled t ~addr b =
   Clock.advance t.client t.lat.Latency.rdma_post_ns;
   t.ops <- t.ops + 1;
   t.wire_bytes <- t.wire_bytes + len;
-  obs_verb t ~op:"write_unsignaled" ~wire:len ~start ~dur;
+  obs_verb t ~op:"write_unsignaled" ~start ~dur;
   Asym_nvm.Device.write t.remote_mem ~addr b
 
 let atomic t ~op ~media =
@@ -245,8 +240,9 @@ let atomic t ~op ~media =
   Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_atomic_ns;
   Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
   t.ops <- t.ops + 1;
+  t.rtts <- t.rtts + 1;
   t.wire_bytes <- t.wire_bytes + 16;
-  obs_verb t ~op ~wire:16 ~start ~dur
+  obs_verb t ~op ~start ~dur
 
 let compare_and_swap t ~addr ~expected ~desired =
   check_alive t;
@@ -265,8 +261,8 @@ let compare_and_swap t ~addr ~expected ~desired =
    a suspension point, so a contending client's spin is a sequence of
    probes genuinely interleaved with the holder's verbs, and the NIC
    slot it books is queueing the other clients observe. Kept out of the
-   ops/wire accounting: Table 1 counts lock traffic separately from the
-   per-operation verbs, as the paper does. *)
+   ops/wire accounting (Table 1 counts lock traffic separately from the
+   per-operation verbs, as the paper does), but it is a round trip. *)
 let lock_probe t ~addr =
   check_alive t;
   check_bounds t ~addr ~len:8;
@@ -278,7 +274,8 @@ let lock_probe t ~addr =
   let dur = t.lat.Latency.rdma_post_ns in
   let start = Timeline.acquire t.remote_nic ~at ~dur in
   Clock.advance ~cause:Asym_obs.Attr.Lock_wait t.client t.lat.Latency.rdma_atomic_ns;
-  obs_verb t ~op:"lock_cas" ~wire:16 ~start ~dur;
+  t.rtts <- t.rtts + 1;
+  obs_verb t ~op:"lock_cas" ~start ~dur;
   Asym_nvm.Device.compare_and_swap t.remote_mem ~addr ~expected:0L ~desired:1L = 0L
 
 let fetch_add t ~addr delta =
@@ -293,4 +290,5 @@ let fetch_add t ~addr delta =
   Asym_nvm.Device.fetch_add t.remote_mem ~addr delta
 
 let ops_posted t = t.ops
+let round_trips t = t.rtts
 let bytes_on_wire t = t.wire_bytes

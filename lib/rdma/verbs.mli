@@ -114,9 +114,14 @@ val lock_probe : conn -> addr:int -> bool
     point, so spinning interleaves with the lock holder's verbs and the
     NIC observes the true concurrent arrival order of the probes. Not
     counted in {!ops_posted}/{!bytes_on_wire} (Table 1 separates lock
-    traffic from per-operation verbs). *)
+    traffic from per-operation verbs); counted in {!round_trips}. *)
 
 val ops_posted : conn -> int
 (** Number of verbs posted on this connection (IOPS accounting). *)
+
+val round_trips : conn -> int
+(** Signaled verbs completed on this connection, lock probes included:
+    each one paid a full round trip in client latency. Unsignaled posts
+    are left out. *)
 
 val bytes_on_wire : conn -> int

@@ -82,17 +82,6 @@ let insert_at t i start stop =
     t.count <- t.count + 1
   end
 
-(* Split the grant into queueing delay (request -> start) and service
-   time (the slot itself), per resource, in the obs registry. The
-   [enabled] pre-check keeps the disabled path allocation-free. *)
-let book t ~wait ~service =
-  t.queued <- t.queued + wait;
-  if Asym_obs.enabled () then begin
-    let labels = [ ("resource", t.name) ] in
-    if wait > 0 then Asym_obs.Registry.add ~labels "timeline.queue_ns" wait;
-    if service > 0 then Asym_obs.Registry.add ~labels "timeline.service_ns" service
-  end
-
 let acquire t ~at ~dur =
   assert (dur >= 0);
   let requested = at in
@@ -111,18 +100,17 @@ let acquire t ~at ~dur =
     prune t;
     t.busy <- t.busy + dur;
     if start + dur > t.free then t.free <- start + dur;
-    book t ~wait:(start - requested) ~service:dur;
+    t.queued <- t.queued + (start - requested);
     start
   end
 
 let hold t ~at =
   let start = Simtime.max at t.free in
-  book t ~wait:(start - at) ~service:0;
+  t.queued <- t.queued + (start - at);
   start
 
 let release t ~at =
   if at > t.free then begin
-    book t ~wait:0 ~service:(at - t.free);
     t.busy <- t.busy + (at - t.free);
     t.free <- at
   end

@@ -1,5 +1,6 @@
 (* The asymnvm command line: bad input is rejected up front with a
-   one-line message and exit status 1, and a structure resolves by either
+   one-line message and exit status 1 (2 for bench-diff, as for an
+   unreadable document), and a structure resolves by either
    of its catalogue spellings. Runs the built binary; dune runs this suite
    from _build/default/test. *)
 
@@ -24,9 +25,9 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let rejects args flag () =
-  let status, _, err = run args in
-  check Alcotest.int "exit status" 1 status;
+let rejects ?(status = 1) args flag () =
+  let got, _, err = run args in
+  check Alcotest.int "exit status" status got;
   check Alcotest.bool (Printf.sprintf "message %S names %s" err flag) true (contains err flag);
   check Alcotest.int "one line" 1
     (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err)))
@@ -54,6 +55,21 @@ let () =
             (rejects [ "check"; "--structure"; "btree" ] "unknown structure");
           Alcotest.test_case "profile unknown structure" `Quick
             (rejects [ "profile"; "--structure"; "btree" ] "unknown structure");
+          Alcotest.test_case "profile --preload=-1" `Quick
+            (rejects [ "profile"; "--preload=-1" ] "--preload");
+          Alcotest.test_case "profile --ops=-5" `Quick (rejects [ "profile"; "--ops=-5" ] "--ops");
+          Alcotest.test_case "profile --ops 0" `Quick (rejects [ "profile"; "--ops"; "0" ] "--ops");
+          Alcotest.test_case "layout --slab 0" `Quick (rejects [ "layout"; "--slab"; "0" ] "--slab");
+          Alcotest.test_case "demo --ops=-3" `Quick (rejects [ "demo"; "--ops=-3" ] "--ops");
+          Alcotest.test_case "trace --ops=-1" `Quick (rejects [ "trace"; "--ops=-1" ] "--ops");
+          Alcotest.test_case "bench-diff --tolerance nan" `Quick
+            (rejects ~status:2
+               [ "bench-diff"; "--tolerance"; "nan"; "OLD.json"; "NEW.json" ]
+               "--tolerance");
+          Alcotest.test_case "bench-diff --tolerance=-1" `Quick
+            (rejects ~status:2
+               [ "bench-diff"; "--tolerance=-1"; "OLD.json"; "NEW.json" ]
+               "--tolerance");
         ] );
       ( "structure spellings",
         [

@@ -1,4 +1,4 @@
-(* The observability subsystem: registry semantics, span-ring behavior
+(* The observability subsystem: span-ring behavior
    under nesting/crash/overflow, exporter well-formedness, and an
    end-to-end rig run asserting spans surface from every layer. *)
 
@@ -15,80 +15,15 @@ let with_obs f () =
       reset ();
       set_enabled false)
 
-(* -- registry -------------------------------------------------------------- *)
+(* -- span ring ------------------------------------------------------------- *)
 
-let test_registry_disabled () =
+let test_span_disabled () =
   set_enabled false;
   reset ();
-  Registry.inc "c";
-  Registry.add "c" 5;
-  Registry.set_gauge "g" 1.0;
-  Registry.observe "h" 10.0;
   Span.complete ~track:"t" ~ts:0 ~dur:1 "s";
   Span.instant "i";
-  check Alcotest.int "counter untouched" 0 (Registry.counter_value "c");
-  check Alcotest.bool "gauge untouched" true (Registry.gauge_value "g" = None);
-  check Alcotest.bool "histogram untouched" true (Registry.histogram "h" = None);
-  check Alcotest.int "no series at all" 0 (Registry.fold_counters (fun _ _ _ n -> n + 1) 0);
   check (Alcotest.list Alcotest.string) "no spans" []
     (List.map (fun (e : Span.event) -> e.Span.name) (Span.events ()))
-
-let test_registry_counters () =
-  Registry.inc "ops";
-  Registry.add "ops" 4;
-  check Alcotest.int "accumulates" 5 (Registry.counter_value "ops");
-  (* Labels distinguish series; their order does not. *)
-  Registry.inc ~labels:[ ("op", "write"); ("dev", "a") ] "verbs";
-  Registry.inc ~labels:[ ("dev", "a"); ("op", "write") ] "verbs";
-  Registry.inc ~labels:[ ("op", "read"); ("dev", "a") ] "verbs";
-  check Alcotest.int "label order canonical" 2
-    (Registry.counter_value ~labels:[ ("dev", "a"); ("op", "write") ] "verbs");
-  check Alcotest.int "distinct labels distinct series" 1
-    (Registry.counter_value ~labels:[ ("op", "read"); ("dev", "a") ] "verbs");
-  check Alcotest.int "absent series reads 0" 0 (Registry.counter_value "nope");
-  Alcotest.check_raises "counters are monotonic"
-    (Invalid_argument "Obs.Registry.add: counters are monotonic") (fun () ->
-      Registry.add "ops" (-1));
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Obs.Registry: ops is a counter, used as a gauge") (fun () ->
-      Registry.set_gauge "ops" 1.0)
-
-let test_registry_reset () =
-  Registry.inc "a";
-  Registry.set_gauge "b" 2.0;
-  Registry.observe "c" 3.0;
-  Registry.reset ();
-  check Alcotest.int "counter gone" 0 (Registry.counter_value "a");
-  check Alcotest.bool "gauge gone" true (Registry.gauge_value "b" = None);
-  check Alcotest.bool "histogram gone" true (Registry.histogram "c" = None)
-
-let test_registry_json () =
-  Registry.inc ~labels:[ ("op", "write") ] "verbs";
-  Registry.set_gauge "fill" 0.5;
-  for i = 1 to 100 do
-    Registry.observe "lat" (float_of_int i)
-  done;
-  (* Round-trip through text so the snapshot is known-parseable. *)
-  let doc = Json.parse (Json.to_string (Registry.to_json ())) in
-  let series key =
-    match Json.member key doc with Some j -> Json.to_list j | None -> Alcotest.fail key
-  in
-  (match series "counters" with
-  | [ c ] ->
-      check Alcotest.string "counter name" "verbs"
-        (Json.to_str (Option.get (Json.member "name" c)));
-      check Alcotest.int "counter value" 1 (Json.to_int (Option.get (Json.member "value" c)))
-  | l -> Alcotest.failf "expected 1 counter, got %d" (List.length l));
-  check Alcotest.int "one gauge" 1 (List.length (series "gauges"));
-  match series "histograms" with
-  | [ h ] ->
-      check Alcotest.int "histogram total" 100
-        (Json.to_int (Option.get (Json.member "total" h)));
-      let p50 = Json.to_float (Option.get (Json.member "p50" h)) in
-      check Alcotest.bool "p50 in a sane bucket" true (p50 >= 32.0 && p50 <= 64.0)
-  | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l)
-
-(* -- span ring ------------------------------------------------------------- *)
 
 let test_span_nesting () =
   let t = ref 0 in
@@ -197,22 +132,16 @@ let test_three_layers () =
   check Alcotest.bool "rdma layer" true (has "rdma.");
   check Alcotest.bool "core layer" true (has "client.op");
   check Alcotest.bool "log layer" true (has "log.replay_tx");
-  check Alcotest.bool "verbs counted" true (Registry.counter_value ~labels:[ ("op", "write") ] "rdma.verbs" > 0);
+  check Alcotest.bool "verbs counted" true (Client.rdma_ops fe > 0);
   (* The trace itself must be parseable. *)
   ignore (Json.parse (Export_chrome.to_string ()))
 
 let () =
   Alcotest.run "obs"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "disabled is inert" `Quick (with_obs test_registry_disabled);
-          Alcotest.test_case "counters + labels" `Quick (with_obs test_registry_counters);
-          Alcotest.test_case "reset" `Quick (with_obs test_registry_reset);
-          Alcotest.test_case "json snapshot" `Quick (with_obs test_registry_json);
-        ] );
       ( "span",
         [
+          Alcotest.test_case "disabled is inert" `Quick (with_obs test_span_disabled);
           Alcotest.test_case "nesting" `Quick (with_obs test_span_nesting);
           Alcotest.test_case "balanced on crash" `Quick (with_obs test_span_balanced_on_crash);
           Alcotest.test_case "ring cap" `Quick (with_obs test_span_ring_cap);

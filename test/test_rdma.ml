@@ -80,6 +80,20 @@ let test_counters () =
   check Alcotest.int "ops" 2 (Verbs.ops_posted conn);
   check Alcotest.int "wire bytes" 16 (Verbs.bytes_on_wire conn)
 
+(* Two verb counts that differ on purpose: a lock probe is a round trip
+   but not a posted verb (Table 1 counts lock traffic apart), and an
+   unsignaled write is a posted verb but pays no round trip. *)
+let test_round_trips_vs_posts () =
+  let _, _, _, conn = mk () in
+  ignore (Verbs.read conn ~addr:0 ~len:8);
+  Verbs.write conn ~addr:0 (Bytes.create 8);
+  Verbs.write_unsignaled conn ~addr:8 (Bytes.create 8);
+  ignore (Verbs.compare_and_swap conn ~addr:16 ~expected:0L ~desired:1L);
+  ignore (Verbs.fetch_add conn ~addr:24 1L);
+  ignore (Verbs.lock_probe conn ~addr:32);
+  check Alcotest.int "round trips leave out the unsignaled write" 5 (Verbs.round_trips conn);
+  check Alcotest.int "posts leave out the lock probe" 5 (Verbs.ops_posted conn)
+
 let test_wire_len_override () =
   let _, _, clk1, conn1 = mk () in
   let _, _, clk2, conn2 = mk () in
@@ -146,6 +160,7 @@ let () =
           Alcotest.test_case "fetch_add" `Quick test_fetch_add_applies;
           Alcotest.test_case "failure detection" `Quick test_failure_detection;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "round trips vs posts" `Quick test_round_trips_vs_posts;
           Alcotest.test_case "wire_len override" `Quick test_wire_len_override;
           Alcotest.test_case "payload scaling" `Quick test_larger_payload_costs_more;
           Alcotest.test_case "out of range charges nothing" `Quick
