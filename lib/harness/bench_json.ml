@@ -1,24 +1,12 @@
 (* Machine-readable bench output: every table/figure cell as structured
-   records, EXPERIMENTS.md's shape expectations as pass/fail verdicts,
-   and a comparator for regression gating (asymnvm bench-diff). *)
+   records, the shape verdicts each experiment computes from its typed
+   rows, and a comparator for regression gating (asymnvm bench-diff). *)
 
 module Obs = Asym_obs
 
 let schema = "asymnvm-bench/1"
 
 type check = { experiment : string; cname : string; pass : bool; detail : string }
-
-(* -- cell parsing ----------------------------------------------------------- *)
-
-(* Cells are display strings ("154", "23.5", "1.95x", "29.2%", "–").
-   Strip the unit suffix; dashes and labels are non-numeric. *)
-let cell_num s =
-  let s = String.trim s in
-  let n = String.length s in
-  let s =
-    if n > 0 && (s.[n - 1] = 'x' || s.[n - 1] = '%') then String.sub s 0 (n - 1) else s
-  in
-  float_of_string_opt s
 
 (* -- document --------------------------------------------------------------- *)
 
@@ -64,195 +52,12 @@ let of_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> Obs.Json.parse (really_input_string ic (in_channel_length ic)))
 
-(* -- shape checks ------------------------------------------------------------ *)
+(* -- verdicts ----------------------------------------------------------------- *)
 
-(* The expectations EXPERIMENTS.md states in prose, as verdicts computed
-   from the freshly produced cells. Thresholds carry slack so quick-scale
-   noise does not flap them (see the quick-scale numbers recorded there,
-   e.g. HashTable's best/Naive is only ~1.95x). *)
-
-let col header name =
-  let rec go i = function
-    | [] -> None
-    | h :: _ when h = name -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 header
-
-let cell row i = match List.nth_opt row i with Some s -> cell_num s | None -> None
-
-(* Evaluate [f naive opt] on every row where both columns are numeric;
-   fail on the first offending row. *)
-let all_rows ~experiment ~cname ~detail t ca cb f =
-  let header = Report.header t in
-  match (col header ca, col header cb) with
-  | Some ia, Some ib ->
-      let bad =
-        List.find_opt
-          (fun row ->
-            match (cell row ia, cell row ib) with
-            | Some a, Some b -> not (f a b)
-            | _ -> false)
-          (Report.rows t)
-      in
-      let pass = bad = None in
-      let detail =
-        match bad with
-        | None -> detail
-        | Some row -> Printf.sprintf "%s (fails at %s)" detail (List.hd row)
-      in
-      { experiment; cname; pass; detail }
-  | _ -> { experiment; cname; pass = false; detail = "missing column" }
-
-let best_optimized header row =
-  List.filter_map (fun c -> Option.bind (col header c) (cell row)) [ "R"; "RC"; "RCB" ]
-  |> List.fold_left max neg_infinity
-
-let table3_checks t =
-  let experiment = "table3" in
-  let header = Report.header t in
-  let speedup =
-    (* Some optimized configuration beats Naive by >= 1.5x on every row. *)
-    let bad =
-      List.find_opt
-        (fun row ->
-          match Option.bind (col header "Naive") (cell row) with
-          | Some naive -> best_optimized header row < 1.5 *. naive
-          | None -> false)
-        (Report.rows t)
-    in
-    {
-      experiment;
-      cname = "optimized_speedup";
-      pass = bad = None;
-      detail =
-        (match bad with
-        | None -> "best of R/RC/RCB >= 1.5x Naive on every row"
-        | Some row -> Printf.sprintf "best optimized < 1.5x Naive at %s" (List.hd row));
-    }
-  in
-  let crossover =
-    (* §6.2: batched multi-versioning is where AsymNVM overtakes the
-       symmetric upper bound (quick scale: only the MV-BPT row). *)
-    match
-      List.find_opt (fun row -> List.hd row = "MV-BPT") (Report.rows t)
-    with
-    | Some row -> (
-        match
-          ( Option.bind (col header "Symmetric") (cell row),
-            Option.bind (col header "RCB") (cell row) )
-        with
-        | Some sym, Some rcb ->
-            {
-              experiment;
-              cname = "mv_crossover";
-              pass = rcb >= sym;
-              detail = Printf.sprintf "MV-BPT RCB %.1f vs Symmetric %.1f" rcb sym;
-            }
-        | _ -> { experiment; cname = "mv_crossover"; pass = false; detail = "missing cell" })
-    | None -> { experiment; cname = "mv_crossover"; pass = false; detail = "missing MV-BPT row" }
-  in
-  [
-    all_rows ~experiment ~cname:"r_at_least_naive"
-      ~detail:"log reproducing never loses to Naive (2% slack)" t "Naive" "R"
-      (fun naive r -> r >= 0.98 *. naive);
-    speedup;
-    crossover;
-    all_rows ~experiment ~cname:"rc_no_regression"
-      ~detail:"the cache never costs more than 15% vs R alone" t "R" "RC"
-      (fun r rc -> rc >= 0.85 *. r);
-  ]
-
-let latency_checks t =
-  let experiment = "latency" in
-  let header = Report.header t in
-  match (col header "Config", col header "Mean") with
-  | Some ic, Some im ->
-      (* Group rows by benchmark; RCB's mean must beat Naive's. *)
-      let naive = Hashtbl.create 8 in
-      List.iter
-        (fun row ->
-          if List.nth_opt row ic = Some "Naive" then
-            Option.iter (Hashtbl.replace naive (List.hd row)) (cell row im))
-        (Report.rows t);
-      let bad =
-        List.find_opt
-          (fun row ->
-            List.nth_opt row ic = Some "RCB"
-            &&
-            match (Hashtbl.find_opt naive (List.hd row), cell row im) with
-            | Some n, Some rcb -> rcb >= n
-            | _ -> false)
-          (Report.rows t)
-      in
-      [
-        {
-          experiment;
-          cname = "rcb_mean_latency";
-          pass = bad = None;
-          detail =
-            (match bad with
-            | None -> "RCB mean latency below Naive on every benchmark"
-            | Some row -> Printf.sprintf "RCB mean >= Naive at %s" (List.hd row));
-        };
-      ]
-  | _ -> [ { experiment; cname = "rcb_mean_latency"; pass = false; detail = "missing column" } ]
-
-let sensitivity_checks t =
-  [
-    all_rows ~experiment:"sensitivity" ~cname:"rcb_advantage"
-      ~detail:"RCB beats Naive across the whole latency range" t "Naive" "RCB"
-      (fun naive rcb -> rcb > naive);
-  ]
-
-let contention_checks t =
-  let experiment = "contention" in
-  let header = Report.header t in
-  match (col header "Writers", col header "Total KOPS", col header "Lock-wait share") with
-  | Some iw, Some ik, Some is ->
-      let share_at n =
-        List.find_opt (fun row -> cell row iw = Some (float_of_int n)) (Report.rows t)
-        |> Fun.flip Option.bind (fun row -> cell row is)
-      in
-      let share_grows =
-        match (share_at 1, share_at 8) with
-        | Some s1, Some s8 ->
-            {
-              experiment;
-              cname = "lock_wait_grows";
-              pass = s8 > s1;
-              detail =
-                Printf.sprintf "lock-wait share %.1f%% at 1 writer -> %.1f%% at 8" s1 s8;
-            }
-        | _ ->
-            { experiment; cname = "lock_wait_grows"; pass = false; detail = "missing row" }
-      in
-      let throughput_positive =
-        let bad =
-          List.find_opt
-            (fun row -> match cell row ik with Some k -> k <= 0.0 | None -> true)
-            (Report.rows t)
-        in
-        {
-          experiment;
-          cname = "throughput_positive";
-          pass = bad = None;
-          detail =
-            (match bad with
-            | None -> "every writer count makes progress"
-            | Some row -> Printf.sprintf "no progress at %s writers" (List.hd row));
-        }
-      in
-      [ share_grows; throughput_positive ]
-  | _ -> [ { experiment; cname = "lock_wait_grows"; pass = false; detail = "missing column" } ]
-
-let checks_for name t =
-  match name with
-  | "table3" -> table3_checks t
-  | "latency" -> latency_checks t
-  | "sensitivity" -> sensitivity_checks t
-  | "contention" -> contention_checks t
-  | _ -> []
+let every ~experiment ~cname ~ok ~pass ~fail rows =
+  match List.find_opt (fun row -> not (ok row)) rows with
+  | None -> { experiment; cname; pass = true; detail = pass }
+  | Some row -> { experiment; cname; pass = false; detail = fail row }
 
 (* -- diff ------------------------------------------------------------------- *)
 
@@ -294,6 +99,16 @@ let str_member key json =
    [tolerance] (relative); non-numeric cells exactly; shape-check
    verdicts must not flip. Returns human-readable failure lines. *)
 let diff ?(tolerance = 0.02) ~old_doc ~new_doc () =
+  (* Stored cells are display strings ("154", "23.5", "1.95x", "29.2%",
+     "-"): strip the unit suffix; dashes and labels are non-numeric. *)
+  let cell_num s =
+    let s = String.trim s in
+    let n = String.length s in
+    let s =
+      if n > 0 && (s.[n - 1] = 'x' || s.[n - 1] = '%') then String.sub s 0 (n - 1) else s
+    in
+    float_of_string_opt s
+  in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   (match (str_member "scale" old_doc, str_member "scale" new_doc) with

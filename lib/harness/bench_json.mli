@@ -4,10 +4,9 @@
     printed, plus EXPERIMENTS.md's shape expectations as pass/fail
     verdicts, into one [asymnvm-bench/1] document; [asymnvm bench-diff]
     compares two such documents cell by cell for regression gating
-    (bench/baseline.json is the committed quick-scale reference). *)
-
-val schema : string
-(** ["asymnvm-bench/1"]. *)
+    (bench/baseline.json is the committed quick-scale reference). Each
+    experiment computes its verdicts from the typed rows that produced
+    its cells; nothing here reads a rendered cell back except {!diff}. *)
 
 type check = {
   experiment : string;
@@ -16,13 +15,11 @@ type check = {
   detail : string;  (** threshold applied, or the offending row *)
 }
 
-val cell_num : string -> float option
-(** Numeric value of a display cell: strips ["x"] / ["%"] suffixes;
-    [None] for dashes and labels. *)
-
-val checks_for : string -> Report.t -> check list
-(** Shape verdicts for one experiment's freshly produced report (table3 /
-    latency / sensitivity / contention today; empty for the rest). *)
+val every :
+  experiment:string -> cname:string -> ok:('a -> bool) -> pass:string -> fail:('a -> string) ->
+  'a list -> check
+(** Passes with detail [pass] when [ok] holds on every row; otherwise
+    fails with [fail row] for the first row that breaks it. *)
 
 val doc :
   scale:string -> experiments:(string * Report.t) list -> checks:check list -> Asym_obs.Json.t

@@ -111,14 +111,12 @@ let checks cells =
     { Bench_json.experiment = "breakdown"; cname; pass; detail }
   in
   let conservation =
-    match
-      List.find_opt (fun cl -> attr_total cl <> cl.res.Runner.elapsed) cells
-    with
-    | None -> check "conservation" true "per-cause ns sum to elapsed virtual time in every cell"
-    | Some cl ->
-        check "conservation" false
-          (Printf.sprintf "%s/%s: %d ns attributed vs %d elapsed" (Catalogue.label cl.kind)
-             cl.config (attr_total cl) cl.res.Runner.elapsed)
+    Bench_json.every ~experiment:"breakdown" ~cname:"conservation" cells
+      ~ok:(fun cl -> attr_total cl = cl.res.Runner.elapsed)
+      ~pass:"per-cause ns sum to elapsed virtual time in every cell"
+      ~fail:(fun cl ->
+        Printf.sprintf "%s/%s: %d ns attributed vs %d elapsed" (Catalogue.label cl.kind)
+          cl.config (attr_total cl) cl.res.Runner.elapsed)
   in
   let naive_rtt =
     match find cells Catalogue.Bpt "Naive" with

@@ -120,11 +120,11 @@ let table cells =
 let checks cells =
   let check cname pass detail = { Bench_json.experiment = "faultsweep"; cname; pass; detail } in
   let consistent =
-    match List.find_opt (fun c -> c.bad_reads > 0) cells with
-    | None -> check "zero_bad_reads" true "every written key read back intact at every drop rate"
-    | Some c ->
-        check "zero_bad_reads" false
-          (Printf.sprintf "%s drop=%.2f: %d read-back mismatches" c.config c.drop c.bad_reads)
+    Bench_json.every ~experiment:"faultsweep" ~cname:"zero_bad_reads" cells
+      ~ok:(fun c -> c.bad_reads = 0)
+      ~pass:"every written key read back intact at every drop rate"
+      ~fail:(fun c ->
+        Printf.sprintf "%s drop=%.2f: %d read-back mismatches" c.config c.drop c.bad_reads)
   in
   let configs = List.sort_uniq compare (List.map (fun c -> c.config) cells) in
   let per_config f =

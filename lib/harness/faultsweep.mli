@@ -16,19 +16,9 @@ type cell = {
   bad_reads : int;  (** read-back mismatches — any nonzero is a failure *)
 }
 
-val drops : float list
-(** The swept drop rates: 0 (faults off) through 0.1. *)
-
-val run_cell :
-  preload:int ->
-  ops:int ->
-  drop:float ->
-  cfg:Asym_core.Client.config ->
-  Asym_structs.Catalogue.kind ->
-  cell
-
 val default_cells : ?preload:int -> ?ops:int -> unit -> cell list
-(** B+-tree puts under RCB and Naive, one cell per drop rate. *)
+(** B+-tree puts under RCB and Naive, one cell per drop rate: 0 (faults
+    off) through 0.1. *)
 
 val table : cell list -> Report.t
 

@@ -370,6 +370,7 @@ let lock_bench ~duration =
 (* ------------------------------------------------------------------ *)
 
 type contention_point = {
+  writers : int;
   total_kops : float;
   lock_wait_share : float;
   avg_lock_wait_ns : float;
@@ -414,6 +415,7 @@ let contention_point ~writers ~preload ~duration =
   in
   let waited = List.fold_left (fun a (c, _) -> a + Client.lock_wait_ns c) 0 wcs in
   {
+    writers;
     total_kops = kops_of total duration;
     lock_wait_share =
       (if elapsed <= 0 then 0.0 else float_of_int waited /. float_of_int elapsed);
@@ -422,6 +424,9 @@ let contention_point ~writers ~preload ~duration =
   }
 
 let contention ~preload ~duration =
+  List.map (fun writers -> contention_point ~writers ~preload ~duration) [ 1; 2; 3; 4; 6; 8 ]
+
+let contention_report points =
   let t =
     Report.create
       ~title:"Lock contention: N writers racing for one shared BST's writer lock"
@@ -434,14 +439,35 @@ let contention ~preload ~duration =
       ()
   in
   List.iter
-    (fun n ->
-      let p = contention_point ~writers:n ~preload ~duration in
+    (fun p ->
       Report.add_row t
         [
-          string_of_int n;
+          string_of_int p.writers;
           Report.kops p.total_kops;
           Report.pct p.lock_wait_share;
           Printf.sprintf "%.0f" p.avg_lock_wait_ns;
         ])
-    [ 1; 2; 3; 4; 6; 8 ];
+    points;
   t
+
+let contention_checks points =
+  let experiment = "contention" in
+  let share_at n =
+    List.find_opt (fun p -> p.writers = n) points |> Option.map (fun p -> p.lock_wait_share)
+  in
+  let share_grows =
+    let verdict pass detail = { Bench_json.experiment; cname = "lock_wait_grows"; pass; detail } in
+    match (share_at 1, share_at 8) with
+    | Some s1, Some s8 ->
+        verdict (s8 > s1)
+          (Printf.sprintf "lock-wait share %.1f%% at 1 writer -> %.1f%% at 8" (100. *. s1)
+             (100. *. s8))
+    | _ -> verdict false "missing row"
+  in
+  [
+    share_grows;
+    Bench_json.every ~experiment ~cname:"throughput_positive" points
+      ~ok:(fun p -> p.total_kops > 0.0)
+      ~pass:"every writer count makes progress"
+      ~fail:(fun p -> Printf.sprintf "no progress at %d writers" p.writers);
+  ]

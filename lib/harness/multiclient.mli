@@ -43,14 +43,10 @@ val fig11 : preload:int -> ops:int -> Report.t
 (** Front-end vs back-end CPU utilization over windows of a 10% put / 90%
     get BST run. *)
 
-val lock_bench_point :
-  write_ratio:float -> readers:int -> duration:Asym_sim.Simtime.t -> float * float * float * float
-(** [(reader_avg, readers_total, writer, fail_ratio)] of the §6.3
-    ping-point test: 6 readers and 1 writer on a single 64-byte object. *)
-
 val lock_bench : duration:Asym_sim.Simtime.t -> Report.t
 
 type contention_point = {
+  writers : int;  (** front-ends racing for the lock *)
   total_kops : float;  (** aggregate throughput of all writers *)
   lock_wait_share : float;
       (** summed writer-lock wait / summed elapsed virtual time *)
@@ -64,4 +60,11 @@ val contention_point :
     co-simulation suspension point, so the lock-wait share measures true
     verb-level contention. *)
 
-val contention : preload:int -> duration:Asym_sim.Simtime.t -> Report.t
+val contention : preload:int -> duration:Asym_sim.Simtime.t -> contention_point list
+(** {!contention_point} at 1, 2, 3, 4, 6 and 8 writers. *)
+
+val contention_report : contention_point list -> Report.t
+
+val contention_checks : contention_point list -> Bench_json.check list
+(** The lock-wait share grows from 1 to 8 writers, and every writer
+    count makes progress. *)

@@ -7,19 +7,17 @@
     throughput: operations divided by the simulated nanoseconds they
     spanned. *)
 
-val ds_opts : shared:bool -> Asym_structs.Catalogue.kind -> Asym_structs.Ds_intf.options
-(** The evaluation's locking discipline: ordered index structures take
-    the writer lock; queue/stack/hash run single-writer; the MV trees
-    synchronize via root CAS. *)
-
 val attach :
   ?shared:bool ->
   Asym_structs.Catalogue.kind ->
   Asym_core.Client.t ->
   name:string ->
   Asym_structs.Catalogue.instance
-(** Attach on the AsymNVM front-end with {!ds_opts}, a 16384-bucket hash
-    table and the skip list's default tower seed. *)
+(** Attach on the AsymNVM front-end with the evaluation's locking
+    discipline (ordered index structures take the writer lock;
+    queue/stack/hash run single-writer; the MV trees synchronize via root
+    CAS), a 16384-bucket hash table and the skip list's default tower
+    seed. *)
 
 (** {2 Rigs} *)
 
@@ -33,7 +31,6 @@ val fresh_client : ?name:string -> rig -> Asym_core.Client.config -> Asym_core.C
 (** A client whose clock starts at the back-end's current horizon so it
     does not queue behind setup traffic. *)
 
-val used_bytes : rig -> int
 val with_cache_pct : rig -> Asym_core.Client.config -> float -> Asym_core.Client.config
 (** Size the front-end cache as a fraction of the NVM actually in use
     (Table 3 uses 10%). *)

@@ -48,11 +48,11 @@ let test_deterministic_point () =
    cells and shape verdicts included (the CI bench-diff contract). *)
 let test_deterministic_json () =
   let doc () =
-    let r = Multiclient.contention ~preload:64 ~duration:(Simtime.ms 2) in
+    let points = Multiclient.contention ~preload:64 ~duration:(Simtime.ms 2) in
     Obs.Json.to_string
       (Bench_json.doc ~scale:"test"
-         ~experiments:[ ("contention", r) ]
-         ~checks:(Bench_json.checks_for "contention" r))
+         ~experiments:[ ("contention", Multiclient.contention_report points) ]
+         ~checks:(Multiclient.contention_checks points))
   in
   check Alcotest.string "bench JSON byte-identical across runs" (doc ()) (doc ())
 
