@@ -74,6 +74,8 @@ let with_trace file f =
 
 let layout_cmd =
   let run capacity_mb sessions slab =
+    if capacity_mb < 1 then reject "--capacity must be >= 1 (got %d)" capacity_mb;
+    if sessions < 1 then reject "--sessions must be >= 1 (got %d)" sessions;
     if slab < 1 then reject "--slab must be >= 1 (got %d)" slab;
     let capacity = capacity_mb * 1024 * 1024 in
     let l =
@@ -525,7 +527,7 @@ let profile_cmd =
     let put_ratio = if Catalogue.(family kind <> Map) then 1.0 else 0.5 in
     let cell =
       Breakdown.run_cell ~put_ratio
-        ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
+        ~mix:(Runner.Ycsb (Asym_workload.Ycsb.Zipfian 0.99))
         ~rig:(Runner.make_rig lat) ~cfg ~preload ~ops kind
     in
     Asym_harness.Report.print (Breakdown.table [ cell ]);

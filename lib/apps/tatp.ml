@@ -199,7 +199,6 @@ module Make (S : Store.S) = struct
 
   let commits t = t.commits
   let aborts t = t.aborts
-  let subscriber_table t = t.subscriber
 
   let run_random t rng ~subscribers ~mix =
     let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in

@@ -44,5 +44,4 @@ module Make (S : Asym_core.Store.S) : sig
   val run_random : t -> Asym_util.Rng.t -> subscribers:int -> mix:(txn * int) list -> unit
   val commits : t -> int
   val aborts : t -> int
-  val subscriber_table : t -> T.t
 end

@@ -27,6 +27,3 @@ val free : t -> addr:Types.addr -> slabs:int -> unit
 val used_slabs : t -> int
 val total_slabs : t -> int
 
-val persisted_bytes_last_op : t -> int
-(** Size of the bitmap region persisted by the most recent alloc/free
-    (used for replication cost accounting). *)

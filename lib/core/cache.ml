@@ -48,15 +48,10 @@ let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
   }
 
 let page_size t = t.page
-let capacity_pages t = t.cap
 let length t = t.count
 let hits t = t.hits
 let misses t = t.misses
 let relinks t = t.relinks
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
 
 (* -- recency list -------------------------------------------------------- *)
 

@@ -61,7 +61,6 @@ type t = {
   cache : Cache.t option;
   overlay : Overlay.t;
   mutable pending : (Types.ds_id * Log.Mem_entry.t) list;  (* newest first *)
-  mutable pending_entries : int;
   mutable pending_bytes : int;
   mutable pending_op_list : (Types.ds_id * (int64 * int * bytes)) list;  (* newest first *)
   pending_cas : (Types.addr, int64 * int64) Hashtbl.t;  (* addr -> (expected, desired) *)
@@ -257,7 +256,6 @@ let connect ?(name = "frontend") ?rng cfg bk ~clock =
       cache;
       overlay = Overlay.create ();
       pending = [];
-      pending_entries = 0;
       pending_bytes = 0;
       pending_op_list = [];
       pending_cas = Hashtbl.create 4;
@@ -450,7 +448,6 @@ let write t ~ds ~addr value =
         | _ -> None
       in
       t.pending <- (ds, Log.Mem_entry.make ?from_op ~addr value) :: t.pending;
-      t.pending_entries <- t.pending_entries + 1;
       t.pending_bytes <- t.pending_bytes + Bytes.length value + 13;
       Overlay.add t.overlay ~addr value;
       (match t.cache with Some c -> Cache.patch c ~addr value | None -> ());
@@ -568,7 +565,6 @@ let flush t =
     (* Slab reclamation triggered by the now-covered operations is safe. *)
     send_deferred_frees t;
     t.pending <- [];
-    t.pending_entries <- 0;
     t.pending_bytes <- 0;
     t.pending_op_list <- [];
     t.n_flushes <- t.n_flushes + 1;
@@ -765,7 +761,6 @@ let drop_volatile t =
   (match t.cache with Some c -> Cache.clear c | None -> ());
   Overlay.clear t.overlay;
   t.pending <- [];
-  t.pending_entries <- 0;
   t.pending_bytes <- 0;
   t.pending_op_list <- [];
   Hashtbl.reset t.pending_cas;

@@ -29,7 +29,6 @@ type t = {
   mutable n_alloc : int;
   mutable n_free : int;
   mutable n_slab_rpc : int;
-  mutable n_leaked : int;
 }
 
 let create ?(reclaim_threshold = 64) ?(prefetch = 8) ops =
@@ -52,7 +51,6 @@ let create ?(reclaim_threshold = 64) ?(prefetch = 8) ops =
     n_alloc = 0;
     n_free = 0;
     n_slab_rpc = 0;
-    n_leaked = 0;
   }
 
 let class_index t size =
@@ -164,8 +162,8 @@ let free t addr ~len =
       | None ->
           (* A block allocated by a pre-crash incarnation: only slab-level
              occupancy was recovered (§5.2), so the block leaks inside its
-             still-live slab. Bounded by design; counted for visibility. *)
-          t.n_leaked <- t.n_leaked + 1
+             still-live slab. Bounded by design. *)
+          ()
       | Some s ->
           let off = addr - base in
           if off mod s.cls <> 0 then invalid_arg "Front_alloc.free: misaligned block";
@@ -187,4 +185,3 @@ let free t addr ~len =
 let allocations t = t.n_alloc
 let frees t = t.n_free
 let slab_rpcs t = t.n_slab_rpc
-let leaked t = t.n_leaked

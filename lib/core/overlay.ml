@@ -3,9 +3,9 @@ let block_size = 1 lsl block_shift
 
 type block = { data : bytes; valid : bytes (* 0/1 per byte *) }
 
-type t = { blocks : (int, block) Hashtbl.t; mutable count : int }
+type t = { blocks : (int, block) Hashtbl.t }
 
-let create () = { blocks = Hashtbl.create 64; count = 0 }
+let create () = { blocks = Hashtbl.create 64 }
 
 let block_for t id =
   match Hashtbl.find_opt t.blocks id with
@@ -25,12 +25,7 @@ let add t ~addr value =
     let n = min (block_size - off) (len - !i) in
     let b = block_for t id in
     Bytes.blit value !i b.data off n;
-    for k = off to off + n - 1 do
-      if Bytes.get b.valid k = '\000' then begin
-        Bytes.set b.valid k '\001';
-        t.count <- t.count + 1
-      end
-    done;
+    Bytes.fill b.valid off n '\001';
     i := !i + n
   done
 
@@ -75,11 +70,4 @@ let try_read t ~addr ~len =
     if !ok then Some out else None
   end
 
-let covers_u64 t addr = match try_read t ~addr ~len:8 with Some _ -> true | None -> false
-
-let clear t =
-  Hashtbl.reset t.blocks;
-  t.count <- 0
-
-let is_empty t = Hashtbl.length t.blocks = 0
-let pending_bytes t = t.count
+let clear t = Hashtbl.reset t.blocks

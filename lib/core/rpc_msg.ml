@@ -169,19 +169,6 @@ let decode_response b =
   | 7 -> R_error (Codec.Dec.string d)
   | c -> invalid_arg (Printf.sprintf "Rpc_msg.decode_response: tag %d" c)
 
-let pp_request fmt = function
-  | Open_session { client_name; _ } -> Format.fprintf fmt "open_session(%s)" client_name
-  | Close_session -> Format.fprintf fmt "close_session"
-  | Malloc { slabs } -> Format.fprintf fmt "malloc(%d slabs)" slabs
-  | Free { addr; slabs } -> Format.fprintf fmt "free(%#x, %d slabs)" addr slabs
-  | Free_batch { addrs } -> Format.fprintf fmt "free_batch(%d slabs)" (List.length addrs)
-  | Alloc_meta { len } -> Format.fprintf fmt "alloc_meta(%d)" len
-  | Name_set { name; kind; addr } ->
-      Format.fprintf fmt "name_set(%s, %a, %#x)" name Types.pp_name_kind kind addr
-  | Name_get { name } -> Format.fprintf fmt "name_get(%s)" name
-  | Register_ds { name } -> Format.fprintf fmt "register_ds(%s)" name
-  | Get_cursors -> Format.fprintf fmt "get_cursors"
-
 let pp_response fmt = function
   | R_unit -> Format.fprintf fmt "ok"
   | R_addr a -> Format.fprintf fmt "addr %#x" a

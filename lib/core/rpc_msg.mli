@@ -47,5 +47,4 @@ val decode_request : bytes -> request
 val encode_response : response -> bytes
 val decode_response : bytes -> response
 
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

@@ -16,13 +16,13 @@ let attr_total cell = List.fold_left (fun acc (_, v) -> acc + v) 0 cell.res.Runn
 
 (* One Table-3-style cell with observability forced on, so the measured
    window's attribution is charged. *)
-let run_cell ?(shared = false) ?put_ratio ?dist ~rig ~cfg ~preload ~ops kind =
+let run_cell ?put_ratio ?mix ~rig ~cfg ~preload ~ops kind =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      let res = Runner.run_asym ~shared ?put_ratio ?dist ~rig ~cfg ~kind ~preload ~ops () in
+      let res = Runner.run_asym ?put_ratio ?mix ~rig ~cfg ~kind ~preload ~ops () in
       { kind; config = Asym_core.Client.config_name cfg; res })
 
 (* -- tables ------------------------------------------------------------------ *)
@@ -169,9 +169,9 @@ let default_cells ?(preload = 4000) ?(ops = 4000) () =
      discussion needs — cached reads are where the cache converts round
      trips into local time, writes are where the log batching does. FIFO
      structures keep the 100%-push drive (they have no read mix). *)
-  let cell ?shared cfg kind =
+  let cell cfg kind =
     let put_ratio = if Catalogue.(family kind <> Map) then 1.0 else 0.5 in
-    run_cell ?shared ~put_ratio ~dist:(Asym_workload.Ycsb.Zipfian 0.99)
+    run_cell ~put_ratio ~mix:(Runner.Ycsb (Asym_workload.Ycsb.Zipfian 0.99))
       ~rig:(Runner.make_rig lat) ~cfg ~preload ~ops kind
   in
   let open Asym_core in

@@ -8,7 +8,7 @@ type cell = { kind : Asym_structs.Catalogue.kind; config : string; res : Runner.
 (** The cell's attribution, round trips and resources are [res]'s. *)
 
 val run_cell :
-  ?shared:bool -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution ->
+  ?put_ratio:float -> ?mix:Runner.mix ->
   rig:Runner.rig -> cfg:Asym_core.Client.config -> preload:int -> ops:int ->
   Asym_structs.Catalogue.kind -> cell
 

@@ -44,7 +44,7 @@ let run_tatp_asym ?(cache_pct = 0.10) ~cfg ~sc () =
   let c = Runner.fresh_client ~name:"tatp" r cfg in
   let app = Tatp_c.attach ~opts:tatp_opts c ~name:"tatp" in
   let rng = Asym_util.Rng.create ~seed:4L in
-  let kops, _ =
+  let kops, _, _ =
     Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
         Tatp_c.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
   in
@@ -56,7 +56,7 @@ let run_tatp_sym ~cfg ~sc () =
   let app = Tatp_l.attach ~opts:tatp_opts s ~name:"tatp" in
   Tatp_l.populate app (Asym_util.Rng.create ~seed:3L) ~subscribers:sc.subscribers;
   let rng = Asym_util.Rng.create ~seed:4L in
-  let kops, _ =
+  let kops, _, _ =
     Runner.measure ~clock ~ops:sc.ops (fun _ ->
         Tatp_l.run_random app rng ~subscribers:sc.subscribers ~mix:Asym_apps.Tatp.default_mix)
   in
@@ -71,7 +71,7 @@ let run_bank_asym ?(cache_pct = 0.10) ?cust_gen ~cfg ~sc () =
   let c = Runner.fresh_client ~name:"bank" r cfg in
   let app = Bank_c.attach c ~name:"bank" in
   let rng = Asym_util.Rng.create ~seed:5L in
-  let kops, _ =
+  let kops, _, _ =
     Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
         Bank_c.run_random ?cust_gen app rng ~accounts:sc.accounts
           ~mix:Asym_apps.Smallbank.default_mix)
@@ -83,7 +83,7 @@ let run_bank_sym ~cfg ~sc () =
   let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
   let app = Bank_l.create s ~name:"bank" ~accounts:sc.accounts ~initial_balance:1000L in
   let rng = Asym_util.Rng.create ~seed:5L in
-  let kops, _ =
+  let kops, _, _ =
     Runner.measure ~clock ~ops:sc.ops (fun _ ->
         Bank_l.run_random app rng ~accounts:sc.accounts ~mix:Asym_apps.Smallbank.default_mix)
   in
@@ -98,35 +98,32 @@ let alloc_sizes = [| 32; 48; 64; 96; 128 |]
 
 let mops n elapsed = if elapsed = 0 then 0.0 else float_of_int n /. Simtime.to_sec elapsed /. 1e6
 
+(* Time [n] allocations, then [n] frees, on [clk]: MOPS of each phase. *)
+let alloc_free clk n ~alloc ~free =
+  let phase f =
+    let t0 = Clock.now clk in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    mops n (Clock.now clk - t0)
+  in
+  (* Bound first: a tuple's components evaluate right to left. *)
+  let a = phase alloc in
+  (a, phase free)
+
 (* Volatile DRAM allocator (the Glibc row): pure local latency. *)
 let table2_glibc n =
   let clk = Clock.create () in
-  let t0 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk lat.Latency.dram_ns
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk (lat.Latency.dram_ns / 3)
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  alloc_free clk n
+    ~alloc:(fun _ -> Clock.advance clk lat.Latency.dram_ns)
+    ~free:(fun _ -> Clock.advance clk (lat.Latency.dram_ns / 3))
 
 (* Single-node persistent allocator (the Pmem/NVML row): every alloc and
    free persists a bitmap line and fences. *)
 let table2_pmem n =
   let clk = Clock.create () in
-  let cost = Latency.nvm_write_cost lat 8 + lat.Latency.persist_fence_ns in
-  let t0 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk cost
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for _ = 1 to n do
-    Clock.advance clk cost
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  let persist _ = Clock.advance clk (Latency.nvm_write_cost lat 8 + lat.Latency.persist_fence_ns) in
+  alloc_free clk n ~alloc:persist ~free:persist
 
 (* Remote allocation through the management RPC only: every alloc/free is
    one RFP round on a raw connection. *)
@@ -141,18 +138,13 @@ let table2_rpc n =
       ~remote_mem:(Backend.device bk) lat
   in
   let addrs = Array.make n 0 in
-  let t0 = Clock.now clk in
-  for i = 0 to n - 1 do
-    match Backend.rpc bk ~conn ~session:None (Rpc_msg.Malloc { slabs = 1 }) with
-    | Rpc_msg.R_addr a -> addrs.(i) <- a
-    | _ -> failwith "table2: rpc alloc failed"
-  done;
-  let alloc = mops n (Clock.now clk - t0) in
-  let t1 = Clock.now clk in
-  for i = 0 to n - 1 do
-    ignore (Backend.rpc bk ~conn ~session:None (Rpc_msg.Free { addr = addrs.(i); slabs = 1 }))
-  done;
-  (alloc, mops n (Clock.now clk - t1))
+  alloc_free clk n
+    ~alloc:(fun i ->
+      match Backend.rpc bk ~conn ~session:None (Rpc_msg.Malloc { slabs = 1 }) with
+      | Rpc_msg.R_addr a -> addrs.(i) <- a
+      | _ -> failwith "table2: rpc alloc failed")
+    ~free:(fun i ->
+      ignore (Backend.rpc bk ~conn ~session:None (Rpc_msg.Free { addr = addrs.(i); slabs = 1 })))
 
 let table2 sc =
   let n = max 2000 (sc.ops / 2) in
@@ -182,16 +174,9 @@ let table2 sc =
     let rng = Asym_util.Rng.create ~seed:2L in
     let sizes = Array.init n (fun _ -> Asym_util.Rng.choose rng alloc_sizes) in
     let addrs = Array.make n 0 in
-    let t0 = Clock.now clk in
-    for i = 0 to n - 1 do
-      addrs.(i) <- Client.malloc c sizes.(i)
-    done;
-    let alloc = mops n (Clock.now clk - t0) in
-    let t1 = Clock.now clk in
-    for i = 0 to n - 1 do
-      Client.free c addrs.(i) ~len:sizes.(i)
-    done;
-    (alloc, mops n (Clock.now clk - t1))
+    alloc_free clk n
+      ~alloc:(fun i -> addrs.(i) <- Client.malloc c sizes.(i))
+      ~free:(fun i -> Client.free c addrs.(i) ~len:sizes.(i))
   in
   let a128, f128 = two_tier 128 in
   Report.add_row t [ "Two-tier (slab 128B)"; Report.mops a128; Report.mops f128 ];
@@ -410,10 +395,7 @@ let fig6 sc =
     else begin
       let r = rig () in
       let nm = Catalogue.label kind in
-      let pre = Runner.fresh_client ~name:"pre" r (Client.rcb ~batch_size:256 ()) in
-      Runner.preload_instance
-        (Runner.attach kind pre ~name:nm)
-        ~fifo:false ~n:sc.preload ~value_size:64;
+      Runner.preload r kind ~name:nm ~n:sc.preload;
       let cfg = Runner.with_cache_pct r (Client.rcb ~batch_size:2 ()) 0.10 in
       let c = Runner.fresh_client ~name:nm r cfg in
       let inst = Runner.attach kind c ~name:nm in
@@ -436,9 +418,7 @@ let fig6 sc =
         in
         vput pairs
       done;
-      let ops = max 1 chunks * b in
-      let el = Clock.now clock - t0 in
-      if el = 0 then 0.0 else float_of_int ops /. Simtime.to_sec el /. 1000.0
+      Runner.kops ~ops:(max 1 chunks * b) (Clock.now clock - t0)
     end
   in
   let tatp b = run_tatp_asym ~cfg:(batched_cfg b) ~sc () in
@@ -520,8 +500,8 @@ let fig12 sc =
       :: List.map
            (fun (_, dist) ->
              Report.kops
-               (Runner.run_asym ~dist ~put_ratio:0.5 ~rig:(rig ()) ~cfg:(Client.rcb ())
-                  ~kind ~preload:sc.preload ~ops:sc.ops ())
+               (Runner.run_asym ~mix:(Runner.Ycsb dist) ~put_ratio:0.5 ~rig:(rig ())
+                  ~cfg:(Client.rcb ()) ~kind ~preload:sc.preload ~ops:sc.ops ())
                  .Runner.kops)
            dists)
   in
@@ -557,9 +537,9 @@ let fig13 sc =
       ()
   in
   let run kind cfg ratio =
-    (Runner.run_asym_trace ~rig:(rig ()) ~cfg ~kind
+    (Runner.run_asym ~mix:Runner.Trace ~put_ratio:ratio ~rig:(rig ()) ~cfg ~kind
        ~preload:(if Catalogue.(family kind <> Map) then max sc.preload sc.ops else sc.preload)
-       ~ops:sc.ops ~put_ratio:ratio ())
+       ~ops:sc.ops ())
       .Runner.kops
   in
   let kv kind =
@@ -676,7 +656,7 @@ let ycsb sc =
       | Asym_workload.Ycsb.C -> (Asym_workload.Ycsb.Zipfian 0.99, 0.0)
       | Asym_workload.Ycsb.D -> (Asym_workload.Ycsb.Uniform, 0.05)
     in
-    (Runner.run_asym ~dist ~put_ratio ~rig:(rig ()) ~cfg:(Client.rc ()) ~kind
+    (Runner.run_asym ~mix:(Runner.Ycsb dist) ~put_ratio ~rig:(rig ()) ~cfg:(Client.rc ()) ~kind
        ~preload:sc.preload ~ops:sc.ops ())
       .Runner.kops
   in
@@ -779,7 +759,7 @@ let cache_policy sc =
          the hash table (§8.2). *)
       let cfg = { (Client.rc ()) with Client.cache_policy = policy; Client.page_size = 64 } in
       let res =
-        Runner.run_asym ~dist:(Asym_workload.Ycsb.Zipfian 0.99) ~put_ratio:0.0
+        Runner.run_asym ~mix:(Runner.Ycsb (Asym_workload.Ycsb.Zipfian 0.99)) ~put_ratio:0.0
           ~cache_pct:0.02 ~rig:(rig ()) ~cfg ~kind:Catalogue.Hash_table ~preload:sc.preload
           ~ops:(2 * sc.ops) ()
       in
@@ -814,7 +794,7 @@ let ablation sc =
     let c = Runner.fresh_client ~name:"st" r cfg in
     let inst = Runner.attach Catalogue.Stack c ~name:"st" in
     let clock = Client.clock c in
-    let kops, _ =
+    let kops, _, _ =
       Runner.measure ~clock ~ops:sc.ops (fun i ->
           if i land 1 = 0 then inst.Catalogue.push (Runner.value_of (Int64.of_int i))
           else ignore (inst.Catalogue.pop ()))
@@ -839,12 +819,9 @@ let ablation sc =
      levels. *)
   let levels all =
     let r = rig () in
-    let pre = Runner.fresh_client ~name:"pre" r (Client.rcb ~batch_size:256 ()) in
     (* A deep tree and a cache that holds the upper levels but not the
        leaves: that is where the level hint pays. *)
-    Runner.preload_instance
-      (Runner.attach Catalogue.Bst pre ~name:"bst")
-      ~fifo:false ~n:(sc.preload * 4) ~value_size:64;
+    Runner.preload r Catalogue.Bst ~name:"bst" ~n:(sc.preload * 4);
     let cfg = Runner.with_cache_pct r (Client.rcb ()) 0.03 in
     let c = Runner.fresh_client ~name:"bst" r cfg in
     let b = Bst_c.attach ~cache_all_levels:all c ~name:"bst" in
@@ -854,7 +831,7 @@ let ablation sc =
       let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
       ignore (Bst_c.find b ~key:k)
     done;
-    let kops, _ =
+    let kops, _, _ =
       Runner.measure ~clock:(Client.clock c) ~ops:sc.ops (fun _ ->
           let k = Int64.of_int (Asym_util.Rng.int rng (sc.preload * 16)) in
           Bst_c.put b ~key:k ~value:(Runner.value_of k))

@@ -27,7 +27,6 @@ type cell = {
 }
 
 let drops = [ 0.0; 0.01; 0.02; 0.05; 0.1 ]
-let value_size = 64
 
 (* Keys the sweep writes live above the preload range, so the read-back
    can enumerate exactly what this cell is responsible for. *)
@@ -35,8 +34,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
   let rig = Runner.make_rig Latency.default in
   let loader = Runner.fresh_client ~name:"fault-loader" rig (Client.rcb ()) in
   let linst = Runner.attach kind loader ~name:"faultsweep" in
-  Runner.preload_instance linst ~fifo:(Catalogue.(family kind <> Map)) ~n:preload ~value_size;
-  linst.Catalogue.cleanup ();
+  Runner.preload_instance kind linst ~n:preload;
   Client.close loader;
   let fe = Runner.fresh_client ~name:"fault-fe" rig cfg in
   if drop > 0. then
@@ -47,10 +45,10 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
             ()));
   let inst = Runner.attach kind fe ~name:"faultsweep" in
   let base = Int64.of_int (4 * preload) in
-  let kops, _elapsed =
+  let kops, _, _ =
     Runner.measure ~clock:(Client.clock fe) ~ops (fun i ->
         let key = Int64.add base (Int64.of_int i) in
-        inst.Catalogue.put key (Runner.value_of ~size:value_size key))
+        inst.Catalogue.put key (Runner.value_of key))
   in
   inst.Catalogue.cleanup ();
   (* The fence waits out queued back-end replay: the read-back below goes
@@ -61,7 +59,7 @@ let run_cell ~preload ~ops ~drop ~cfg kind =
   for i = 0 to ops - 1 do
     let key = Int64.add base (Int64.of_int i) in
     match inst.Catalogue.get key with
-    | Some v when v = Runner.value_of ~size:value_size key -> ()
+    | Some v when v = Runner.value_of key -> ()
     | _ -> incr bad_reads
   done;
   {

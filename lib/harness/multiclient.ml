@@ -12,14 +12,39 @@ module Catalogue = Asym_structs.Catalogue
 
 let lat = Latency.default
 
-(* Align a set of clocks at a common starting line. *)
-let align clocks =
-  let t0 = Sched.makespan clocks in
-  List.iter (fun c -> Clock.wait_until c t0) clocks;
-  t0
+(* The co-simulated measurement: align the clients' clocks at a common
+   starting line [t0], then run each client's [step] in a closed loop
+   until its clock passes [t0 + duration]. List order is the scheduler's
+   tie-break. Returns [t0] and each client's completed steps. *)
+let race ~duration clients =
+  let t0 = Sched.makespan (List.map fst clients) in
+  List.iter (fun (clock, _) -> Clock.wait_until clock t0) clients;
+  let deadline = t0 + duration in
+  let counts = Array.make (List.length clients) 0 in
+  Sched.run
+    (List.mapi
+       (fun i (clock, step) ->
+         Sched.client ~clock ~run:(fun () ->
+             while Clock.now clock < deadline do
+               step ();
+               counts.(i) <- counts.(i) + 1
+             done))
+       clients);
+  (t0, Array.to_list counts)
 
-let kops_of ops elapsed =
-  if elapsed <= 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
+(* Each client's throughput since [t0], by its own clock. *)
+let rates t0 clients counts =
+  List.map2 (fun c n -> Runner.kops ~ops:n (Clock.now (Client.clock c) - t0)) clients counts
+
+let sum = List.fold_left ( + ) 0
+let read_retries = List.fold_left (fun a c -> a + Client.read_retries c) 0
+
+(* A writer's step: insert a uniformly random key of [0, 4 * preload). *)
+let put_random ~seed ~preload inst =
+  let rng = Asym_util.Rng.create ~seed:(Int64.of_int seed) in
+  fun () ->
+    let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
+    inst.Catalogue.put k (Runner.value_of k)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8 — multiple readers, one writer                              *)
@@ -33,7 +58,7 @@ let fig8_point ~kind ~readers ~preload ~duration =
   let wcfg = { (Client.rcb ~batch_size:64 ()) with Client.flush_on_unlock = false } in
   let writer = Runner.fresh_client ~name:"writer" rig wcfg in
   let winst = Runner.attach ~shared:true kind writer ~name:"shared-ds" in
-  Runner.preload_instance winst ~fifo:false ~n:preload ~value_size:64;
+  Runner.preload_instance kind winst ~n:preload;
   let rclients =
     List.init readers (fun i ->
         Runner.fresh_client ~name:(Printf.sprintf "reader%d" i) rig
@@ -51,53 +76,28 @@ let fig8_point ~kind ~readers ~preload ~duration =
         ignore (inst.Catalogue.get (Int64.of_int (Asym_util.Rng.int rng preload)))
       done)
     rinsts;
-  let clocks = Client.clock writer :: List.map Client.clock rclients in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let wops = ref 0 in
-  let wrng = Asym_util.Rng.create ~seed:51L in
-  let wclock = Client.clock writer in
-  let wclient =
-    Sched.client ~clock:wclock ~run:(fun () ->
-        while Clock.now wclock < deadline do
-          let k = Int64.of_int (Asym_util.Rng.int wrng (preload * 4)) in
-          winst.Catalogue.put k (Runner.value_of k);
-          incr wops
-        done)
+  let read i inst =
+    let rng = Asym_util.Rng.create ~seed:(Int64.of_int (100 + i)) in
+    fun () -> ignore (inst.Catalogue.get (Int64.of_int (Asym_util.Rng.int rng preload)))
   in
-  let rops = Hashtbl.create 8 in
-  let rclients_s =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (100 + i)) in
-        Hashtbl.replace rops i 0;
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng preload) in
-              ignore (inst.Catalogue.get k);
-              Hashtbl.replace rops i (Hashtbl.find rops i + 1)
-            done))
-      rinsts
+  let retries0 = read_retries rclients in
+  let t0, counts =
+    race ~duration
+      ((Client.clock writer, put_random ~seed:51 ~preload winst)
+      :: List.mapi (fun i (c, inst) -> (Client.clock c, read i inst)) rinsts)
   in
-  Sched.run (wclient :: rclients_s);
-  let writer_kops = kops_of !wops (Clock.now (Client.clock writer) - t0) in
-  let reader_rates =
-    List.mapi
-      (fun i c -> kops_of (Hashtbl.find rops i) (Clock.now (Client.clock c) - t0))
-      rclients
-  in
+  let retries = read_retries rclients - retries0 in
+  let kops = rates t0 (writer :: rclients) counts in
   let reader_avg_kops =
     if readers = 0 then 0.0
-    else List.fold_left ( +. ) 0.0 reader_rates /. float_of_int readers
+    else List.fold_left ( +. ) 0.0 (List.tl kops) /. float_of_int readers
   in
-  let total_reads = Hashtbl.fold (fun _ v a -> a + v) rops 0 in
-  let retries = List.fold_left (fun a c -> a + Client.read_retries c) 0 rclients in
+  let total_reads = sum (List.tl counts) in
   let retry_ratio =
     if total_reads + retries = 0 then 0.0
     else float_of_int retries /. float_of_int (total_reads + retries)
   in
-  { writer_kops; reader_avg_kops; retry_ratio }
+  { writer_kops = List.hd kops; reader_avg_kops; retry_ratio }
 
 let fig8 ~preload ~duration =
   let t =
@@ -139,29 +139,16 @@ let fig9_point ~kind ~n ~preload ~duration =
           Runner.fresh_client ~name:(Printf.sprintf "fe%d" i) rig (Client.rcb ~batch_size:64 ())
         in
         let inst = Runner.attach kind c ~name:(Printf.sprintf "ds%d" i) in
-        Runner.preload_instance inst ~fifo:false ~n:preload ~value_size:64;
+        Runner.preload_instance kind inst ~n:preload;
         (c, inst))
   in
-  let clocks = List.map (fun (c, _) -> Client.clock c) clients in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let counts = Array.make n 0 in
-  let scheds =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (200 + i)) in
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Catalogue.put k (Runner.value_of k);
-              counts.(i) <- counts.(i) + 1
-            done))
-      clients
+  let _, counts =
+    race ~duration
+      (List.mapi
+         (fun i (c, inst) -> (Client.clock c, put_random ~seed:(200 + i) ~preload inst))
+         clients)
   in
-  Sched.run scheds;
-  let total = Array.fold_left ( + ) 0 counts in
-  kops_of total duration
+  Runner.kops ~ops:(sum counts) duration
 
 let fig9 ~preload ~duration =
   let t =
@@ -207,12 +194,12 @@ let fig10_point ~kind ~backends ~preload ~ops =
   Array.iter (fun k -> (route k).Catalogue.put k (Runner.value_of k)) keys;
   Asym_structs.Multi_backend.iter_parts mb (fun _ inst -> inst.Catalogue.cleanup ());
   let rng = Asym_util.Rng.create ~seed:61L in
-  let t0 = Clock.now clock in
-  for _ = 1 to ops do
-    let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-    (route k).Catalogue.put k (Runner.value_of k)
-  done;
-  kops_of ops (Clock.now clock - t0)
+  let kops, _, _ =
+    Runner.measure ~clock ~ops (fun _ ->
+        let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
+        (route k).Catalogue.put k (Runner.value_of k))
+  in
+  kops
 
 let fig10 ~preload ~ops =
   let t =
@@ -246,7 +233,7 @@ let fig11 ~preload ~ops =
       (Runner.with_cache_pct rig (Client.rcb ~batch_size:64 ()) 0.10)
   in
   let inst = Runner.attach Catalogue.Bst c ~name:"bst" in
-  Runner.preload_instance inst ~fifo:false ~n:preload ~value_size:64;
+  Runner.preload_instance Catalogue.Bst inst ~n:preload;
   let clock = Client.clock c in
   let rng = Asym_util.Rng.create ~seed:71L in
   let windows = 10 in
@@ -294,51 +281,29 @@ let lock_bench_point ~write_ratio ~readers ~duration =
         let c = Runner.fresh_client ~name:(Printf.sprintf "r%d" i) rig (Client.r ()) in
         (c, Client.register_ds c "object"))
   in
-  let clocks = Client.clock wc :: List.map (fun (c, _) -> Client.clock c) rcs in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let writes = ref 0 in
   let wrng = Asym_util.Rng.create ~seed:81L in
-  let wclk = Client.clock wc in
-  let writer =
-    Sched.client ~clock:wclk ~run:(fun () ->
-        while Clock.now wclk < deadline do
-          if Asym_util.Rng.float wrng < write_ratio then begin
-            Client.writer_lock wc wh;
-            ignore (Client.op_begin wc ~ds:wh.Types.id ~optype:1 ~params:Bytes.empty);
-            Client.write wc ~ds:wh.Types.id ~addr (Bytes.make 64 'w');
-            Client.op_end wc ~ds:wh.Types.id;
-            Client.writer_unlock wc wh
-          end
-          else ignore (Client.read wc ~addr ~len:64);
-          incr writes
-        done)
+  let write () =
+    if Asym_util.Rng.float wrng < write_ratio then begin
+      Client.writer_lock wc wh;
+      ignore (Client.op_begin wc ~ds:wh.Types.id ~optype:1 ~params:Bytes.empty);
+      Client.write wc ~ds:wh.Types.id ~addr (Bytes.make 64 'w');
+      Client.op_end wc ~ds:wh.Types.id;
+      Client.writer_unlock wc wh
+    end
+    else ignore (Client.read wc ~addr ~len:64)
   in
-  let reads = Array.make readers 0 in
-  let fails = Array.make readers 0 in
-  let rsched =
-    List.mapi
-      (fun i (c, hh) ->
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let before = Client.read_retries c in
-              ignore (Client.read_section c hh (fun () -> Client.read c ~addr ~len:64));
-              reads.(i) <- reads.(i) + 1;
-              fails.(i) <- fails.(i) + (Client.read_retries c - before)
-            done))
-      rcs
+  let read c hh () = ignore (Client.read_section c hh (fun () -> Client.read c ~addr ~len:64)) in
+  let rclients = List.map fst rcs in
+  let fails0 = read_retries rclients in
+  let t0, counts =
+    race ~duration
+      ((Client.clock wc, write) :: List.map (fun (c, hh) -> (Client.clock c, read c hh)) rcs)
   in
-  Sched.run (writer :: rsched);
-  let writer_kops = kops_of !writes (Clock.now (Client.clock wc) - t0) in
-  let reader_total = Array.fold_left ( + ) 0 reads in
-  let fail_total = Array.fold_left ( + ) 0 fails in
-  let per_reader =
-    Array.to_list reads
-    |> List.mapi (fun i n ->
-           kops_of n (Clock.now (Client.clock (fst (List.nth rcs i))) - t0))
-  in
-  let reader_avg = List.fold_left ( +. ) 0.0 per_reader /. float_of_int readers in
+  let fail_total = read_retries rclients - fails0 in
+  let kops = rates t0 (wc :: rclients) counts in
+  let writer_kops = List.hd kops in
+  let reader_total = sum (List.tl counts) in
+  let reader_avg = List.fold_left ( +. ) 0.0 (List.tl kops) /. float_of_int readers in
   let fail_ratio =
     if reader_total + fail_total = 0 then 0.0
     else float_of_int fail_total /. float_of_int (reader_total + fail_total)
@@ -384,39 +349,27 @@ let contention_point ~writers ~preload ~duration =
   let cfg = { (Client.rcb ~batch_size:16 ()) with Client.flush_on_unlock = true } in
   let setup = Runner.fresh_client ~name:"setup" rig cfg in
   let sinst = Runner.attach ~shared:true Catalogue.Bst setup ~name:"contended-ds" in
-  Runner.preload_instance sinst ~fifo:false ~n:preload ~value_size:64;
+  Runner.preload_instance Catalogue.Bst sinst ~n:preload;
   Client.close setup;
   let wcs =
     List.init writers (fun i ->
         let c = Runner.fresh_client ~name:(Printf.sprintf "w%d" i) rig cfg in
         (c, Runner.attach ~shared:true Catalogue.Bst c ~name:"contended-ds"))
   in
-  let clocks = List.map (fun (c, _) -> Client.clock c) wcs in
-  let t0 = align clocks in
-  let deadline = t0 + duration in
-  let counts = Array.make writers 0 in
-  let scheds =
-    List.mapi
-      (fun i (c, inst) ->
-        let rng = Asym_util.Rng.create ~seed:(Int64.of_int (300 + i)) in
-        let clk = Client.clock c in
-        Sched.client ~clock:clk ~run:(fun () ->
-            while Clock.now clk < deadline do
-              let k = Int64.of_int (Asym_util.Rng.int rng (preload * 4)) in
-              inst.Catalogue.put k (Runner.value_of k);
-              counts.(i) <- counts.(i) + 1
-            done))
-      wcs
+  let t0, counts =
+    race ~duration
+      (List.mapi
+         (fun i (c, inst) -> (Client.clock c, put_random ~seed:(300 + i) ~preload inst))
+         wcs)
   in
-  Sched.run scheds;
-  let total = Array.fold_left ( + ) 0 counts in
+  let total = sum counts in
   let elapsed =
     List.fold_left (fun a (c, _) -> a + (Clock.now (Client.clock c) - t0)) 0 wcs
   in
   let waited = List.fold_left (fun a (c, _) -> a + Client.lock_wait_ns c) 0 wcs in
   {
     writers;
-    total_kops = kops_of total duration;
+    total_kops = Runner.kops ~ops:total duration;
     lock_wait_share =
       (if elapsed <= 0 then 0.0 else float_of_int waited /. float_of_int elapsed);
     avg_lock_wait_ns =

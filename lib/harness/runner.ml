@@ -35,18 +35,11 @@ let is_seq kind = family kind <> Map
 type rig = { bk : Backend.t; lat : Latency.t }
 
 let make_rig ?(name = "bk") ?(capacity = 192 * 1024 * 1024) ?(max_sessions = 8)
-    ?(memlog_cap = 8 * 1024 * 1024) ?(mirrors = 0) lat =
+    ?(memlog_cap = 8 * 1024 * 1024) lat =
   let bk =
     Backend.create ~name ~max_sessions ~memlog_cap ~oplog_cap:(2 * 1024 * 1024) ~slab_size:4096
       ~capacity lat
   in
-  for i = 1 to mirrors do
-    Backend.attach_mirror bk
-      (Mirror.create
-         ~name:(Printf.sprintf "%s.m%d" name i)
-         ~kind:(if i = 1 then Mirror.Nvm_backed else Mirror.Ssd_backed)
-         ~capacity lat)
-  done;
   { bk; lat }
 
 (* A client whose clock starts at the back-end's current horizon, so it
@@ -73,15 +66,15 @@ let with_cache_pct rig (cfg : Client.config) pct =
 (* Zero-filled, not [Bytes.create]: uninitialized payload bytes made the
    stored media image (and every CRC over it) differ run to run, so a
    value written and rebuilt for comparison never matched. *)
-let value_of ?(size = 64) key =
-  let b = Bytes.make size '\000' in
+let value_of key =
+  let b = Bytes.make 64 '\000' in
   Bytes.set_int64_le b 0 key;
   b
 
-let preload_instance inst ~fifo ~n ~value_size =
-  if fifo then
+let preload_instance kind inst ~n =
+  if is_seq kind then
     for i = 0 to n - 1 do
-      inst.push (value_of ~size:value_size (Int64.of_int i))
+      inst.push (value_of (Int64.of_int i))
     done
   else begin
     (* Preload keys spread over the whole measurement key space (stride 4
@@ -91,11 +84,15 @@ let preload_instance inst ~fifo ~n ~value_size =
        spine. *)
     let keys = Array.init n (fun i -> Int64.of_int (4 * i)) in
     Asym_util.Rng.shuffle (Asym_util.Rng.create ~seed:1234L) keys;
-    Array.iter (fun key -> inst.put key (value_of ~size:value_size key)) keys
+    Array.iter (fun key -> inst.put key (value_of key)) keys
   end;
   inst.cleanup ()
 
-(* -- single-client measured run ------------------------------------------- *)
+let preload rig kind ~name ~n =
+  let pre = fresh_client ~name:(name ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
+  preload_instance kind (attach kind pre ~name) ~n
+
+(* -- measured window -------------------------------------------------------- *)
 
 type result = {
   kops : float;
@@ -114,19 +111,10 @@ type result = {
   resources : (string * int * int) list;
 }
 
-let measure ~clock ~ops f =
-  let t0 = Clock.now clock in
-  for i = 0 to ops - 1 do
-    f i
-  done;
-  let elapsed = Clock.now clock - t0 in
-  let kops =
-    if elapsed = 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
-  in
-  (kops, elapsed)
+let kops ~ops elapsed =
+  if elapsed <= 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
 
-(* Like {!measure} but also records each operation's virtual latency. *)
-let measure_latencies ~clock ~ops f =
+let measure ~clock ~ops f =
   let lats = Array.make (max 1 ops) 0.0 in
   let t0 = Clock.now clock in
   for i = 0 to ops - 1 do
@@ -135,180 +123,121 @@ let measure_latencies ~clock ~ops f =
     lats.(i) <- Simtime.to_us (Clock.now clock - s)
   done;
   let elapsed = Clock.now clock - t0 in
-  let kops =
-    if elapsed = 0 then 0.0 else float_of_int ops /. Simtime.to_sec elapsed /. 1000.0
-  in
-  (kops, elapsed, lats)
+  (kops ~ops elapsed, elapsed, lats)
 
-(* One operation against the facade. For key/value structures [put_ratio]
-   selects between insert (PUT) and find (GET); for queue/stack it selects
-   between push and pop. *)
-let one_op inst ~fifo ~value_size ~put_ratio ~rng gen i =
-  if fifo then begin
-    if Asym_util.Rng.float rng < put_ratio then
-      inst.push (value_of ~size:value_size (Int64.of_int i))
-    else ignore (inst.pop ())
-  end
-  else if Asym_util.Rng.float rng < put_ratio then begin
-    let k = Asym_workload.Ycsb.key gen in
-    inst.put k (value_of ~size:value_size k)
-  end
-  else ignore (inst.get (Asym_workload.Ycsb.key gen))
+type mix = Ycsb of Asym_workload.Ycsb.distribution | Trace
 
-(* Run [ops] operations of the given mix on an already attached instance,
-   measuring virtual-time throughput on [clock]. *)
-let drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace ~ops ~seed inst =
+(* The operation stream of a cell, one call per operation. A YCSB mix
+   draws fixed-size values; for key/value structures [put_ratio] selects
+   between insert (PUT) and find (GET), for queue/stack between push and
+   pop. The Figure-13 trace draws power-law keys and 64 B - 8 KB values. *)
+let op_stream mix kind inst ~put_ratio ~keyspace ~seed =
   let rng = Asym_util.Rng.create ~seed in
-  let gen =
-    Asym_workload.Ycsb.create ~value_size ~distribution:dist ~keyspace:(max 1 keyspace)
-      ~put_ratio rng
-  in
-  measure_latencies ~clock ~ops (fun i -> one_op inst ~fifo ~value_size ~put_ratio ~rng gen i)
+  match mix with
+  | Trace ->
+      let tr =
+        Asym_workload.Trace.create
+          ~kind:(if is_seq kind then `Fifo put_ratio else `Kv put_ratio)
+          rng
+      in
+      fun _ ->
+        (match Asym_workload.Trace.next tr with
+        | Asym_workload.Trace.Push v -> inst.push v
+        | Asym_workload.Trace.Pop -> ignore (inst.pop ())
+        | Asym_workload.Trace.Put (k, v) -> inst.put k v
+        | Asym_workload.Trace.Get k -> ignore (inst.get k))
+  | Ycsb distribution ->
+      let gen =
+        Asym_workload.Ycsb.create ~value_size:64 ~distribution ~keyspace:(max 1 keyspace)
+          ~put_ratio rng
+      in
+      if is_seq kind then fun i ->
+        if Asym_util.Rng.float rng < put_ratio then inst.push (value_of (Int64.of_int i))
+        else ignore (inst.pop ())
+      else fun _ ->
+        if Asym_util.Rng.float rng < put_ratio then begin
+          let k = Asym_workload.Ycsb.key gen in
+          inst.put k (value_of k)
+        end
+        else ignore (inst.get (Asym_workload.Ycsb.key gen))
 
 let timeline_totals bk =
   List.map
     (fun tl -> (Timeline.name tl, (Timeline.queued_total tl, Timeline.busy_total tl)))
     (Backend.timelines bk)
 
-(* Run [f] as client [c]'s measured window and sample the typed counters
-   around it: per-cause attribution, the connection's round trips, and
-   the queue/busy deltas of every back-end timeline that moved. *)
-let window rig c f =
-  let attr0 = Asym_obs.Attr.snapshot () in
-  let rtts0 = Asym_rdma.Verbs.round_trips (Client.connection c) in
-  let tl0 = timeline_totals rig.bk in
-  let x = f () in
+(* Measure [ops] calls of [f] on [clock] and sample the typed counters
+   around them: on an AsymNVM client [(rig, c)], its read retries, cache
+   hits/misses, verbs, wire bytes and round trips, the per-cause
+   attribution, and the queue/busy deltas of every back-end timeline
+   that moved (all zero or empty on the symmetric baseline). *)
+let window ?asym ~clock ~ops f =
+  (* [delta get] reads [get c] now; each later call returns the change. *)
+  let delta get =
+    match asym with
+    | None -> fun () -> 0
+    | Some (_, c) ->
+        let v0 = get c in
+        fun () -> get c - v0
+  in
+  let retries = delta Client.read_retries
+  and hits = delta (fun c -> fst (Client.cache_stats c))
+  and misses = delta (fun c -> snd (Client.cache_stats c))
+  and verbs = delta Client.rdma_ops
+  and wire_bytes = delta Client.rdma_bytes
+  and round_trips = delta (fun c -> Asym_rdma.Verbs.round_trips (Client.connection c)) in
+  let timelines () = match asym with Some (rig, _) -> timeline_totals rig.bk | None -> [] in
+  let attr0 = Asym_obs.Attr.snapshot () and tl0 = timelines () in
+  let kops, elapsed, lats = measure ~clock ~ops f in
   let resources =
     List.filter_map
       (fun (name, (q, b)) ->
         let q0, b0 = Option.value (List.assoc_opt name tl0) ~default:(0, 0) in
         if q = q0 && b = b0 then None else Some (name, q - q0, b - b0))
-      (timeline_totals rig.bk)
+      (timelines ())
   in
-  ( x,
-    Asym_obs.Attr.since attr0,
-    Asym_rdma.Verbs.round_trips (Client.connection c) - rtts0,
-    List.sort compare resources )
+  {
+    kops;
+    ops;
+    elapsed;
+    retries = retries ();
+    cache_hits = hits ();
+    cache_misses = misses ();
+    verbs = verbs ();
+    wire_bytes = wire_bytes ();
+    lat_mean_us = Asym_util.Stats.mean lats;
+    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
+    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
+    attr = (if Option.is_none asym then [] else Asym_obs.Attr.since attr0);
+    round_trips = round_trips ();
+    resources = List.sort compare resources;
+  }
 
 (* One Table-3-style cell on the AsymNVM architecture: preload through a
    throwaway client, then measure on a fresh client with the target
    configuration (cache sized as a fraction of the NVM in use). *)
-let run_asym ?(shared = false) ?(value_size = 64) ?(cache_pct = 0.10) ?(put_ratio = 1.0)
-    ?(dist = Asym_workload.Ycsb.Uniform) ?(seed = 99L) ?warmup ~rig ~cfg ~kind ~preload ~ops
-    () =
-  let fifo = is_seq kind in
+let run_asym ?(cache_pct = 0.10) ?(put_ratio = 1.0) ?(mix = Ycsb Asym_workload.Ycsb.Uniform)
+    ~rig ~cfg ~kind ~preload:n ~ops () =
   let nm = label kind in
-  let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = attach kind pre ~name:nm in
-  preload_instance pinst ~fifo ~n:preload ~value_size;
-  let cfg = with_cache_pct rig cfg cache_pct in
-  let c = fresh_client ~name:nm rig cfg in
-  let inst = attach ~shared kind c ~name:nm in
-  let clock = Client.clock c in
-  (* Warm the cache and the adaptive level threshold before measuring. *)
-  let warmup = match warmup with Some w -> w | None -> max 256 (ops / 2) in
-  let _ =
-    drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops:warmup
-      ~seed:(Int64.add seed 1L) inst
-  in
-  let retries0 = Client.read_retries c in
-  let hits0, misses0 = Client.cache_stats c in
-  let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
-  let (kops, elapsed, lats), attr, round_trips, resources =
-    window rig c (fun () ->
-        drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst)
-  in
-  let hits1, misses1 = Client.cache_stats c in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = Client.read_retries c - retries0;
-    cache_hits = hits1 - hits0;
-    cache_misses = misses1 - misses0;
-    verbs = Client.rdma_ops c - verbs0;
-    wire_bytes = Client.rdma_bytes c - bytes0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-    attr;
-    round_trips;
-    resources;
-  }
-
-(* A Figure-13 style run: the synthetic industry trace (power-law keys,
-   64 B - 8 KB values) instead of the fixed-size YCSB generator. *)
-let run_asym_trace ?(cache_pct = 0.10) ?(seed = 7L) ~rig ~cfg ~kind ~preload ~ops ~put_ratio ()
-    =
-  let fifo = is_seq kind in
-  let nm = label kind in
-  let pre = fresh_client ~name:(nm ^ ".preload") rig (Client.rcb ~batch_size:256 ()) in
-  let pinst = attach kind pre ~name:nm in
-  preload_instance pinst ~fifo ~n:preload ~value_size:64;
-  let cfg = with_cache_pct rig cfg cache_pct in
-  let c = fresh_client ~name:nm rig cfg in
+  preload rig kind ~name:nm ~n;
+  let c = fresh_client ~name:nm rig (with_cache_pct rig cfg cache_pct) in
   let inst = attach kind c ~name:nm in
-  let verbs0 = Client.rdma_ops c and bytes0 = Client.rdma_bytes c in
-  let rng = Asym_util.Rng.create ~seed in
-  let tr =
-    Asym_workload.Trace.create
-      ~kind:(if fifo then `Fifo put_ratio else `Kv put_ratio)
-      rng
-  in
   let clock = Client.clock c in
-  let (kops, elapsed, lats), attr, round_trips, resources =
-    window rig c (fun () ->
-        measure_latencies ~clock ~ops (fun _ ->
-            match Asym_workload.Trace.next tr with
-            | Asym_workload.Trace.Push v -> inst.push v
-            | Asym_workload.Trace.Pop -> ignore (inst.pop ())
-            | Asym_workload.Trace.Put (k, v) -> inst.put k v
-            | Asym_workload.Trace.Get k -> ignore (inst.get k)))
-  in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    verbs = Client.rdma_ops c - verbs0;
-    wire_bytes = Client.rdma_bytes c - bytes0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-    attr;
-    round_trips;
-    resources;
-  }
+  let stream = op_stream mix kind inst ~put_ratio ~keyspace:(n * 4) in
+  (* Warm the cache and the adaptive level threshold before measuring;
+     trace cells measure from cold. *)
+  if mix <> Trace then ignore (measure ~clock ~ops:(max 256 (ops / 2)) (stream ~seed:100L));
+  window ~asym:(rig, c) ~clock ~ops (stream ~seed:(if mix = Trace then 7L else 99L))
 
-(* The same cell on the symmetric baseline. *)
-let run_sym ?(value_size = 64) ?(put_ratio = 1.0) ?(dist = Asym_workload.Ycsb.Uniform)
-    ?(seed = 99L) ~lat ~cfg ~kind ~preload ~ops () =
-  let fifo = is_seq kind in
+(* The same YCSB cell (100% put, uniform keys) on the symmetric baseline. *)
+let run_sym ~lat ~cfg ~kind ~preload:n ~ops () =
   let nm = label kind in
   let clock = Clock.create ~name:("sym." ^ nm) () in
   let s = Asym_baseline.Local_store.create ~cfg lat ~clock in
   let inst =
     Cat_local.attach kind ~opts:(ds_opts ~shared:false kind) ~nbuckets ~skip_seed s ~name:nm
   in
-  preload_instance inst ~fifo ~n:preload ~value_size;
-  let kops, elapsed, lats =
-    drive ~clock ~fifo ~value_size ~put_ratio ~dist ~keyspace:(preload * 4) ~ops ~seed inst
-  in
-  {
-    kops;
-    ops;
-    elapsed;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    verbs = 0;
-    wire_bytes = 0;
-    lat_mean_us = Asym_util.Stats.mean lats;
-    lat_p50_us = Asym_util.Stats.percentile lats 50.0;
-    lat_p99_us = Asym_util.Stats.percentile lats 99.0;
-    attr = [];
-    round_trips = 0;
-    resources = [];
-  }
+  preload_instance kind inst ~n;
+  window ~clock ~ops
+    (op_stream (Ycsb Asym_workload.Ycsb.Uniform) kind inst ~put_ratio:1.0 ~keyspace:(n * 4)
+       ~seed:99L)

@@ -1,9 +1,9 @@
 (** Shared machinery for the experiment harness.
 
-    Builds rigs (a back-end plus optional mirrors), attaches
+    Builds rigs (one back-end each), attaches
     {!Asym_structs.Catalogue} structures with the harness's parameters on
     both architectures, and runs the standard preload → warm-up → measure
-    cycle that every table/figure cell uses. Throughput is virtual-time
+    cycle that every single-client cell uses. Throughput is virtual-time
     throughput: operations divided by the simulated nanoseconds they
     spanned. *)
 
@@ -24,7 +24,7 @@ val attach :
 type rig = { bk : Asym_core.Backend.t; lat : Asym_sim.Latency.t }
 
 val make_rig :
-  ?name:string -> ?capacity:int -> ?max_sessions:int -> ?memlog_cap:int -> ?mirrors:int ->
+  ?name:string -> ?capacity:int -> ?max_sessions:int -> ?memlog_cap:int ->
   Asym_sim.Latency.t -> rig
 
 val fresh_client : ?name:string -> rig -> Asym_core.Client.config -> Asym_core.Client.t
@@ -35,15 +35,22 @@ val with_cache_pct : rig -> Asym_core.Client.config -> float -> Asym_core.Client
 (** Size the front-end cache as a fraction of the NVM actually in use
     (Table 3 uses 10%). *)
 
-(** {2 Measured runs} *)
+(** {2 Preload} *)
 
-val value_of : ?size:int -> int64 -> bytes
+val value_of : int64 -> bytes
+(** The 64-byte value stored under a key. *)
 
 val preload_instance :
-  Asym_structs.Catalogue.instance -> fifo:bool -> n:int -> value_size:int -> unit
+  Asym_structs.Catalogue.kind -> Asym_structs.Catalogue.instance -> n:int -> unit
 (** Load [n] items: pushes for FIFO structures; for key/value structures,
     keys spread over the whole measurement key space in shuffled order
     (an ordered preload would degenerate the unbalanced trees). *)
+
+val preload : rig -> Asym_structs.Catalogue.kind -> name:string -> n:int -> unit
+(** {!preload_instance} the structure persisted under [name] through a
+    throwaway RCB-256 client named [name ^ ".preload"]. *)
+
+(** {2 Measured runs} *)
 
 type result = {
   kops : float;
@@ -65,26 +72,32 @@ type result = {
       (** back-end timelines that moved, by name: resource, queue ns, busy ns *)
 }
 
-val measure : clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) -> float * Asym_sim.Simtime.t
+val kops : ops:int -> Asym_sim.Simtime.t -> float
+(** Virtual-time throughput: [ops] over [elapsed], in thousands per
+    second (0 for an empty span). *)
+
+val measure :
+  clock:Asym_sim.Clock.t -> ops:int -> (int -> unit) ->
+  float * Asym_sim.Simtime.t * float array
+(** Call [f 0 .. f (ops - 1)] on [clock]: KOPS, elapsed virtual time and
+    each operation's virtual latency in us. *)
+
+type mix =
+  | Ycsb of Asym_workload.Ycsb.distribution  (** fixed 64 B values *)
+  | Trace  (** Figure 13's synthetic industry trace: power-law keys, 64 B – 8 KB values *)
 
 val run_asym :
-  ?shared:bool -> ?value_size:int -> ?cache_pct:float -> ?put_ratio:float ->
-  ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 -> ?warmup:int -> rig:rig ->
+  ?cache_pct:float -> ?put_ratio:float -> ?mix:mix -> rig:rig ->
   cfg:Asym_core.Client.config -> kind:Asym_structs.Catalogue.kind -> preload:int -> ops:int ->
   unit -> result
 (** One Table-3-style cell on the AsymNVM architecture: preload through a
-    throwaway client, warm the measurement client, measure. *)
-
-val run_asym_trace :
-  ?cache_pct:float -> ?seed:int64 -> rig:rig -> cfg:Asym_core.Client.config ->
-  kind:Asym_structs.Catalogue.kind ->
-  preload:int -> ops:int -> put_ratio:float -> unit -> result
-(** Figure-13 variant: the synthetic industry trace (power-law keys,
-    64 B – 8 KB values). *)
+    throwaway client, warm the measurement client (YCSB mixes only),
+    measure. [put_ratio] (default 1.0) is the share of puts, or of pushes
+    for FIFO structures; [mix] defaults to uniform YCSB. *)
 
 val run_sym :
-  ?value_size:int -> ?put_ratio:float -> ?dist:Asym_workload.Ycsb.distribution -> ?seed:int64 ->
   lat:Asym_sim.Latency.t -> cfg:Asym_baseline.Local_store.config ->
   kind:Asym_structs.Catalogue.kind ->
   preload:int -> ops:int -> unit -> result
-(** The same cell on the symmetric baseline. *)
+(** The default {!run_asym} cell (100% put, uniform keys) on the
+    symmetric baseline. *)

@@ -61,4 +61,3 @@ let events () =
   List.init n (fun i -> ring.buf.((first + i) mod cap))
 
 let dropped () = max 0 (ring.written - Array.length ring.buf)
-let last_ts () = ring.latest

@@ -59,5 +59,3 @@ val events : unit -> event list
 val dropped : unit -> int
 (** Events lost to the ring cap since the last {!reset}. *)
 
-val last_ts : unit -> int
-(** Latest simulated timestamp seen by the tracer. *)

@@ -62,7 +62,6 @@ let connect ~client ~remote_nic ~remote_mem lat =
 let client_clock t = t.client
 let remote_mem t = t.remote_mem
 let set_failed t v = t.failed <- v
-let is_failed t = t.failed
 
 let set_fault t f =
   t.fault <-
@@ -71,7 +70,6 @@ let set_fault t f =
     | Some f -> Some (f, Asym_util.Rng.create ~seed:f.Fault.seed));
   if f = None then t.grey <- []
 
-let has_fault t = t.fault <> None
 let verb_timeouts t = t.n_timeouts
 let injected_delays t = t.n_delays
 

@@ -62,13 +62,10 @@ val client_clock : conn -> Asym_sim.Clock.t
 val remote_mem : conn -> Asym_nvm.Device.t
 
 val set_failed : conn -> bool -> unit
-val is_failed : conn -> bool
 
 val set_fault : conn -> Fault.t option -> unit
 (** Install (or clear, with [None]) the transient-fault model. Clearing
     also disarms any remaining grey windows. *)
-
-val has_fault : conn -> bool
 
 val arm_grey : conn -> from_:Asym_sim.Simtime.t -> until:Asym_sim.Simtime.t -> unit
 (** Arm a grey period: verbs posted in [\[from_, until)] of virtual time

@@ -119,16 +119,8 @@ module Dec = struct
     t.pos <- t.pos + n
 end
 
-let get_u8 = Bytes.get_uint8
-let set_u8 = Bytes.set_uint8
-let get_u16 = Bytes.get_uint16_le
-let set_u16 = Bytes.set_uint16_le
-let get_u32 = Bytes.get_int32_le
-let set_u32 = Bytes.set_int32_le
 let get_u64 = Bytes.get_int64_le
 let set_u64 = Bytes.set_int64_le
-
-let u64_of_int = Int64.of_int
 
 let int_of_u64 v =
   if v < 0L || v > Int64.of_int max_int then

@@ -20,4 +20,3 @@ val next_scrambled : t -> int
     across the key space, as YCSB's [ScrambledZipfianGenerator] does. *)
 
 val theta : t -> float
-val cardinality : t -> int

@@ -60,6 +60,12 @@ let () =
           Alcotest.test_case "profile --ops=-5" `Quick (rejects [ "profile"; "--ops=-5" ] "--ops");
           Alcotest.test_case "profile --ops 0" `Quick (rejects [ "profile"; "--ops"; "0" ] "--ops");
           Alcotest.test_case "layout --slab 0" `Quick (rejects [ "layout"; "--slab"; "0" ] "--slab");
+          Alcotest.test_case "layout --sessions=-1" `Quick
+            (rejects [ "layout"; "--sessions=-1" ] "--sessions");
+          Alcotest.test_case "layout --sessions 0" `Quick
+            (rejects [ "layout"; "--sessions"; "0" ] "--sessions");
+          Alcotest.test_case "layout --capacity=-5" `Quick
+            (rejects [ "layout"; "--capacity=-5" ] "--capacity");
           Alcotest.test_case "demo --ops=-3" `Quick (rejects [ "demo"; "--ops=-3" ] "--ops");
           Alcotest.test_case "trace --ops=-1" `Quick (rejects [ "trace"; "--ops=-1" ] "--ops");
           Alcotest.test_case "bench-diff --tolerance nan" `Quick

@@ -53,10 +53,12 @@ let test_read_heavy_faster_than_write_heavy () =
 
 let test_trace_runner () =
   let r =
-    Runner.run_asym_trace ~rig:(Runner.make_rig lat) ~cfg:(Asym_core.Client.rc ())
-      ~kind:Catalogue.Hash_table ~preload:200 ~ops:200 ~put_ratio:0.5 ()
+    Runner.run_asym ~mix:Runner.Trace ~put_ratio:0.5 ~rig:(Runner.make_rig lat)
+      ~cfg:(Asym_core.Client.rc ()) ~kind:Catalogue.Hash_table ~preload:200 ~ops:200 ()
   in
-  check Alcotest.bool "positive" true (r.Runner.kops > 0.0)
+  check Alcotest.bool "positive" true (r.Runner.kops > 0.0);
+  check Alcotest.bool "cache counters reported" true
+    (r.Runner.cache_hits + r.Runner.cache_misses > 0)
 
 let test_fig8_point () =
   let p = Multiclient.fig8_point ~kind:Catalogue.Bst ~readers:2 ~preload:300 ~duration:(Asym_sim.Simtime.ms 3) in
