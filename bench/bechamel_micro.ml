@@ -68,6 +68,28 @@ let tests () =
   let dev = Device.create ~name:"micro.nvm" ~capacity:(1024 * 1024) lat in
   Device.write dev ~addr:0 (Bytes.make (4 * cs) 'd');
   let line = Bytes.make 64 'w' in
+  (* The co-simulation engine: [Sched.run] over clients that each make
+     [steps] 10 ns advances from time 0. *)
+  let module Clock = Asym_sim.Clock in
+  let module Sched = Asym_sim.Sched in
+  let sched_clocks = [| Clock.create (); Clock.create () |] in
+  let cosim ~clients ~steps () =
+    Sched.run
+      (List.init clients (fun i ->
+           let clk = sched_clocks.(i) in
+           Clock.reset clk;
+           Sched.client ~clock:clk ~run:(fun () ->
+               for _ = 1 to steps do
+                 Clock.advance clk 10
+               done)))
+  in
+  (* A read-retry's cache clear: 17 live pages out of 627 slots, the
+     bst-shared reader's average. *)
+  let retry_cache =
+    Cache.create ~policy:Cache.Hybrid ~page_size:512 ~capacity_bytes:(627 * 512)
+      (Asym_util.Rng.create ~seed:3L)
+  in
+  let page = Bytes.make 512 'p' in
   [
     (* NVM media: the sparse chunk table's cost per access. *)
     Test.make ~name:"nvm/read-512B"
@@ -128,6 +150,18 @@ let tests () =
              Client.op_end drainer ~ds:dh.Types.id
            done;
            Client.flush drainer));
+    (* §8 engine: 64 advances of a lone client, which never switches. *)
+    Test.make ~name:"sched/advance-no-switch" (Staged.stage (cosim ~clients:1 ~steps:64));
+    (* §8 engine: two clients in lockstep, 32 advances each — every
+       advance switches. *)
+    Test.make ~name:"sched/switch-2-clients" (Staged.stage (cosim ~clients:2 ~steps:32));
+    (* §6.3: fill 17 pages, then the clear of a failed read section. *)
+    Test.make ~name:"cache/clear-17-of-627"
+      (Staged.stage (fun () ->
+           for id = 0 to 16 do
+             Cache.insert retry_cache id page
+           done;
+           Cache.clear retry_cache));
     (* §7.2: torn-tail scan of an intact record. *)
     Test.make ~name:"recovery/tx-scan" (Staged.stage (fun () -> ignore (Log.Tx.scan tx_bytes ~pos:0)));
   ]

@@ -82,11 +82,18 @@ let layout_cmd =
       try Layout.compute ~capacity ~max_sessions:sessions ~slab_size:slab ()
       with Invalid_argument msg ->
         Fmt.epr "asymnvm: %s@." msg;
-        Fmt.epr
-          "hint: %d sessions need %d MiB of log rings alone; grow --capacity or shrink \
-           --sessions@."
-          sessions
-          (sessions * 6);
+        (* Each session owns 6 MiB of log rings (4 memory + 2 operation). *)
+        let rings_mb = sessions * 6 in
+        if rings_mb >= capacity_mb then
+          Fmt.epr
+            "hint: %d sessions need %d MiB of log rings alone; grow --capacity or shrink \
+             --sessions@."
+            sessions rings_mb
+        else
+          Fmt.epr
+            "hint: a %d-byte slab does not fit in the %d MiB the log rings leave; shrink \
+             --slab or grow --capacity@."
+            slab (capacity_mb - rings_mb);
         exit 1
     in
     let row name base len = Fmt.pr "%-12s %#12x  %10d bytes@." name base len in

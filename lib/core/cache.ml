@@ -17,7 +17,7 @@ type t = {
   cap : int;  (* capacity in pages *)
   choose_set : int;
   rng : Asym_util.Rng.t;
-  table : (int, node) Hashtbl.t;
+  table : node Itbl.t;
   dense : node option array;
   mutable count : int;
   mutable mru : node option;
@@ -36,7 +36,7 @@ let create ?(choose_set = 32) ~policy ~page_size ~capacity_bytes rng =
     cap;
     choose_set;
     rng;
-    table = Hashtbl.create (2 * cap);
+    table = Itbl.create (2 * cap);
     dense = Array.make cap None;
     count = 0;
     mru = None;
@@ -120,14 +120,14 @@ let victim t =
       (match !best with Some n -> n | None -> assert false)
 
 let remove t n =
-  Hashtbl.remove t.table n.id;
+  Itbl.remove t.table n.id;
   detach t n;
   dense_remove t n
 
 (* -- public operations ---------------------------------------------------- *)
 
 let find t id =
-  match Hashtbl.find_opt t.table id with
+  match Itbl.find_opt t.table id with
   | Some n ->
       touch t n;
       t.hits <- t.hits + 1;
@@ -137,14 +137,14 @@ let find t id =
       None
 
 let insert t id data =
-  match Hashtbl.find_opt t.table id with
+  match Itbl.find_opt t.table id with
   | Some n ->
       n.data <- data;
       touch t n
   | None ->
       if t.count >= t.cap then remove t (victim t);
       let n = { id; data; last_use = 0; slot = 0; prev = None; next = None } in
-      Hashtbl.replace t.table id n;
+      Itbl.replace t.table id n;
       dense_add t n;
       push_front t n;
       t.tick <- t.tick + 1;
@@ -155,18 +155,22 @@ let patch t ~addr value =
   let first = addr / t.page in
   let last = (addr + len - 1) / t.page in
   for id = first to last do
-    match Hashtbl.find_opt t.table id with
+    match Itbl.find_opt t.table id with
     | None -> ()
     | Some n ->
         let page_base = id * t.page in
-        let lo = max addr page_base in
-        let hi = min (addr + len) (page_base + Bytes.length n.data) in
+        let lo = Int.max addr page_base in
+        let hi = Int.min (addr + len) (page_base + Bytes.length n.data) in
         if hi > lo then Bytes.blit value (lo - addr) n.data (lo - page_base) (hi - lo)
   done
 
+(* Walk the live pages only: a failed read section clears a cache that
+   holds a handful of pages out of hundreds of slots. *)
 let clear t =
-  Hashtbl.reset t.table;
-  Array.fill t.dense 0 t.cap None;
+  for i = 0 to t.count - 1 do
+    (match t.dense.(i) with Some n -> Itbl.remove t.table n.id | None -> ());
+    t.dense.(i) <- None
+  done;
   t.count <- 0;
   t.mru <- None;
   t.lru <- None

@@ -3,8 +3,9 @@
     back-ends (Figure 10), CPU utilization (Figure 11), the §6.3 lock
     ping-point test, and the lock-contention scaling study. Each client
     is a straight-line loop handed to {!Asym_sim.Sched}, which suspends
-    it at every clock advance — clients interleave at verb granularity,
-    racing inside lock holds and optimistic read sections. *)
+    it at any clock advance that lets another client go first — clients
+    interleave at verb granularity, racing inside lock holds and
+    optimistic read sections. *)
 
 open Asym_sim
 open Asym_core

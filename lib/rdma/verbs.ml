@@ -148,13 +148,10 @@ let round_trip t ~op ~service ~media =
   let at = Clock.now t.client in
   let dur = t.lat.Latency.rdma_post_ns + service in
   let start = Timeline.acquire t.remote_nic ~at ~dur in
-  let queueing = start - at in
-  (* Same total as one combined advance, but each component lands on its
-     own attribution cause. *)
-  Clock.advance ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_rtt_ns;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_bytes t.client service;
-  Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
+  (* Each component lands on its own attribution cause; the client
+     suspends once, at completion. *)
+  Clock.advance_verb t.client ~queue:(start - at) ~rtt:t.lat.Latency.rdma_rtt_ns ~wire:service
+    ~media;
   t.ops <- t.ops + 1;
   t.rtts <- t.rtts + 1;
   obs_verb t ~op ~start ~dur;
@@ -233,10 +230,8 @@ let atomic t ~op ~media =
   let at = Clock.now t.client in
   let dur = t.lat.Latency.rdma_post_ns in
   let start = Timeline.acquire t.remote_nic ~at ~dur in
-  let queueing = start - at in
-  Clock.advance ~cause:Asym_obs.Attr.Nic_queue t.client queueing;
-  Clock.advance ~cause:Asym_obs.Attr.Rdma_rtt t.client t.lat.Latency.rdma_atomic_ns;
-  Clock.advance ~cause:Asym_obs.Attr.Nvm_media t.client media;
+  Clock.advance_verb t.client ~queue:(start - at) ~rtt:t.lat.Latency.rdma_atomic_ns ~wire:0
+    ~media;
   t.ops <- t.ops + 1;
   t.rtts <- t.rtts + 1;
   t.wire_bytes <- t.wire_bytes + 16;

@@ -1,10 +1,12 @@
 (* Verb-granular co-simulation engine.
 
-   Each client runs inside an OCaml 5 effect handler: every forward
-   movement of its clock performs [Clock.Yield] (see Clock.advance), the
-   handler captures the continuation, and the scheduler resumes the
+   Each client runs inside an OCaml 5 effect handler. While a client
+   runs, its clock carries a horizon: the latest time it may reach and
+   still be the globally-earliest clock. An advance that passes the
+   horizon performs [Clock.Yield] (see Clock.advance), the handler
+   captures the continuation, and the scheduler resumes the
    globally-earliest clock — so clients suspend and resume *inside*
-   operations, at every virtual-time advance.
+   operations, but only when another client is really due.
 
    Determinism: the next client to run is a pure function of virtual
    time — a binary min-heap keyed on (clock value, client id), with the
@@ -18,16 +20,20 @@ let client ~clock ~run = { clock; run }
 
 (* -- task execution under the handler ----------------------------------- *)
 
-type status = Done | Yielded of (unit, status) Effect.Deep.continuation
+(* A task's state is what its last run returned: a suspension stores the
+   handler's [Yielded] as is, so a switch allocates only the
+   continuation and that one block. *)
+type status =
+  | Start of (unit -> unit)
+  | Yielded of (unit, status) Effect.Deep.continuation
+  | Done
 
 type task = {
   id : int;
   tclock : Clock.t;
   mutable at : Simtime.t;  (* heap key: clock sampled at suspension *)
-  mutable state : state;
+  mutable state : status;
 }
-
-and state = Start of (unit -> unit) | Suspended of (unit, status) Effect.Deep.continuation
 
 let handler : (status, status) Effect.Deep.handler =
   {
@@ -44,7 +50,8 @@ let handler : (status, status) Effect.Deep.handler =
 let exec t =
   match t.state with
   | Start f -> Effect.Deep.match_with (fun () -> f (); Done) () handler
-  | Suspended k -> Effect.Deep.continue k ()
+  | Yielded k -> Effect.Deep.continue k ()
+  | Done -> Done
 
 (* -- binary min-heap on (at, id) ----------------------------------------- *)
 
@@ -71,36 +78,42 @@ module Heap = struct
       i := p
     done
 
-  let min h = if h.n = 0 then None else Some h.a.(0)
-
+  (* The earliest task; [h] must not be empty. *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.n && before h.a.(l) h.a.(!s) then s := l;
-          if r < h.n && before h.a.(r) h.a.(!s) then s := r;
-          if !s = !i then continue_ := false
-          else begin
-            let tmp = h.a.(!s) in
-            h.a.(!s) <- h.a.(!i);
-            h.a.(!i) <- tmp;
-            i := !s
-          end
-        done
-      end;
-      Some top
-    end
+    let top = h.a.(0) in
+    h.n <- h.n - 1;
+    if h.n > 0 then begin
+      h.a.(0) <- h.a.(h.n);
+      let i = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.n && before h.a.(l) h.a.(!s) then s := l;
+        if r < h.n && before h.a.(r) h.a.(!s) then s := r;
+        if !s = !i then continue_ := false
+        else begin
+          let tmp = h.a.(!s) in
+          h.a.(!s) <- h.a.(!i);
+          h.a.(!i) <- tmp;
+          i := !s
+        end
+      done
+    end;
+    top
 end
 
 (* -- scheduler ------------------------------------------------------------ *)
+
+(* The horizon of task [t], about to run: the latest time its clock may
+   reach while its key (now, id) stays before the earliest suspended
+   task's — on equal times the lower id goes first. The heap does not
+   change while [t] runs, so one value holds until [t] yields. *)
+let horizon (h : Heap.t) t =
+  if h.n = 0 then max_int
+  else
+    let m = h.a.(0) in
+    if m.id > t.id then m.at else m.at - 1
 
 let run clients =
   match clients with
@@ -113,26 +126,18 @@ let run clients =
       in
       let h = Heap.create ~dummy:(List.hd tasks) (List.length tasks) in
       List.iter (fun t -> Heap.push h t) tasks;
-      List.iter (fun c -> Clock.set_coop c.clock true) clients;
       Fun.protect
-        ~finally:(fun () -> List.iter (fun c -> Clock.set_coop c.clock false) clients)
+        ~finally:(fun () -> List.iter (fun c -> Clock.set_horizon c.clock max_int) clients)
         (fun () ->
-          let rec drive t =
+          while h.n > 0 do
+            let t = Heap.pop h in
+            Clock.set_horizon t.tclock (horizon h t);
             match exec t with
-            | Done -> next ()
-            | Yielded k ->
+            | Yielded _ as s ->
                 t.at <- Clock.now t.tclock;
-                t.state <- Suspended k;
-                (* Fast path: still the earliest clock — keep running
-                   without touching the heap. *)
-                (match Heap.min h with
-                | Some m when Heap.before m t ->
-                    Heap.push h t;
-                    next ()
-                | _ -> drive t)
-          and next () =
-            match Heap.pop h with None -> () | Some t -> drive t
-          in
-          next ())
+                t.state <- s;
+                Heap.push h t
+            | Start _ | Done -> ()
+          done)
 
 let makespan clocks = List.fold_left (fun acc c -> Simtime.max acc (Clock.now c)) 0 clocks

@@ -1,11 +1,13 @@
 (** Verb-granular cooperative co-simulation.
 
-    Each client runs inside an OCaml 5 effect handler: every forward
-    movement of its clock ({!Clock.advance}/{!Clock.wait_until})
-    suspends it via {!Clock.Yield}, and the scheduler resumes the
-    client whose clock is globally earliest — so clients interleave
-    {e within} operations, at the granularity of individual RDMA verbs,
-    lock CAS probes, cache hits and log flushes.
+    Each client runs inside an OCaml 5 effect handler: a forward
+    movement of its clock ({!Clock.advance}/{!Clock.wait_until}) that
+    takes it past another client's suspends it via {!Clock.Yield}, and
+    the scheduler resumes the client whose clock is globally earliest —
+    so clients interleave {e within} operations, at the granularity of
+    individual RDMA verbs, lock CAS probes, cache hits and log flushes.
+    A client that is still the earliest keeps running without
+    suspending; a lone client never suspends.
 
     Scheduling is deterministic: the next client is picked from a binary
     min-heap keyed on (virtual time, client id), where the id is the
@@ -17,7 +19,8 @@ type client
 
 val client : clock:Clock.t -> run:(unit -> unit) -> client
 (** A straight-line client: [run] is the client's whole program,
-    suspended transparently at every clock advance. Loop/termination
+    suspended transparently at any clock advance
+    that lets another client go first. Loop/termination
     conditions (e.g. a measurement deadline) live in the body itself. *)
 
 val run : client list -> unit

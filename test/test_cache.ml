@@ -103,6 +103,33 @@ let test_clear_then_reuse () =
   Cache.insert t 20 (page 'd');
   check Alcotest.int "still at capacity" 2 (Cache.length t)
 
+(* [clear] walks the live pages only, so it must still forget every page
+   that survived eviction churn — for each policy — and leave a cache
+   that fills back to capacity with fresh ids. *)
+let test_clear_after_churn () =
+  List.iter
+    (fun policy ->
+      let name = Cache.policy_name policy in
+      let t = mk ~cap_pages:8 policy in
+      for id = 0 to 99 do
+        Cache.insert t (id * 7 mod 53) (page 'a');
+        ignore (Cache.find t (id mod 11))
+      done;
+      check Alcotest.int (name ^ ": full before clear") 8 (Cache.length t);
+      Cache.clear t;
+      check Alcotest.int (name ^ ": empty") 0 (Cache.length t);
+      for id = 0 to 52 do
+        if Cache.find t id <> None then Alcotest.failf "%s: page %d survived clear" name id
+      done;
+      for id = 100 to 107 do
+        Cache.insert t id (page 'b')
+      done;
+      check Alcotest.int (name ^ ": refilled") 8 (Cache.length t);
+      for id = 100 to 107 do
+        if Cache.find t id = None then Alcotest.failf "%s: page %d missing after refill" name id
+      done)
+    [ Cache.Lru; Cache.Rr; Cache.Hybrid ]
+
 let () =
   Alcotest.run "cache"
     [
@@ -119,5 +146,9 @@ let () =
           Alcotest.test_case "spans short final page" `Quick test_patch_spanning_short_final_page;
           Alcotest.test_case "past short page is no-op" `Quick test_patch_entirely_past_short_page;
         ] );
-      ("clear", [ Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse ]);
+      ( "clear",
+        [
+          Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse;
+          Alcotest.test_case "clear after eviction churn" `Quick test_clear_after_churn;
+        ] );
     ]

@@ -32,6 +32,15 @@ let rejects ?(status = 1) args flag () =
   check Alcotest.int "one line" 1
     (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err)))
 
+(* A layout that does not fit names the part that overflows. *)
+let layout_hint args ~names ~not_names () =
+  let status, _, err = run ("layout" :: args) in
+  check Alcotest.int "exit status" 1 status;
+  check Alcotest.bool (Printf.sprintf "hint %S names %s" err names) true (contains err names);
+  check Alcotest.bool
+    (Printf.sprintf "hint %S does not name %s" err not_names)
+    false (contains err not_names)
+
 let resolves spelling id () =
   let status, out, err =
     run [ "check"; "--structure"; spelling; "--ops"; "2"; "--stride"; "1000"; "--no-tear" ]
@@ -76,6 +85,13 @@ let () =
             (rejects ~status:2
                [ "bench-diff"; "--tolerance=-1"; "OLD.json"; "NEW.json" ]
                "--tolerance");
+        ] );
+      ( "layout hints",
+        [
+          Alcotest.test_case "slab overflows" `Quick
+            (layout_hint [ "--slab"; "999999999" ] ~names:"--slab" ~not_names:"--sessions");
+          Alcotest.test_case "rings overflow" `Quick
+            (layout_hint [ "--capacity"; "40" ] ~names:"--sessions" ~not_names:"--slab");
         ] );
       ( "structure spellings",
         [

@@ -58,6 +58,33 @@ let test_clock_utilization () =
   Clock.wait_until c 400;
   check (Alcotest.float 1e-9) "25% busy" 0.25 (Clock.utilization c ~since:0 ~busy_since:0)
 
+(* One verb's four parts land on their own causes and move the clock by
+   their sum. *)
+let test_clock_advance_verb () =
+  let module Attr = Asym_obs.Attr in
+  Asym_obs.set_enabled true;
+  Asym_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Asym_obs.reset ();
+      Asym_obs.set_enabled false)
+    (fun () ->
+      let c = Clock.create () in
+      let mark = Attr.local_snapshot (Clock.attr c) in
+      Clock.advance_verb c ~queue:3 ~rtt:1000 ~wire:40 ~media:200;
+      check Alcotest.int "now" 1243 (Clock.now c);
+      check Alcotest.int "busy" 1243 (Clock.busy c);
+      let got = Attr.local_since (Clock.attr c) mark in
+      List.iter
+        (fun (cause, want) -> check Alcotest.int (Attr.name cause) want (List.assoc cause got))
+        [
+          (Attr.Nic_queue, 3);
+          (Attr.Rdma_rtt, 1000);
+          (Attr.Rdma_bytes, 40);
+          (Attr.Nvm_media, 200);
+          (Attr.Local_compute, 0);
+        ])
+
 (* -- Timeline ------------------------------------------------------------ *)
 
 let test_timeline_fifo () =
@@ -136,6 +163,37 @@ let test_conflict_ring_eviction_conservative () =
     (Conflict.overlaps c ~start_:915 ~stop:920);
   check Alcotest.int "count" 10 (Conflict.count c)
 
+(* QCheck: the early exit on the latest recorded stop and the eviction
+   rule agree with a full scan of every window ever recorded — a
+   recorded window that overlaps, or an evicted one that ends after the
+   query starts, answers [true]. *)
+let prop_conflict_matches_scan =
+  let window = QCheck.Gen.(pair (int_range 0 400) (int_range 0 40)) in
+  let arb =
+    QCheck.make
+      ~print:(fun (cap, ws, qs) ->
+        let pr l = String.concat ";" (List.map (fun (a, d) -> Printf.sprintf "%d+%d" a d) l) in
+        Printf.sprintf "cap=%d windows=[%s] queries=[%s]" cap (pr ws) (pr qs))
+      QCheck.Gen.(
+        triple (int_range 1 8) (list_size (int_range 0 30) window)
+          (list_size (int_range 1 20) window))
+  in
+  QCheck.Test.make ~name:"overlaps agrees with a full scan" ~count:300 arb
+    (fun (capacity, windows, queries) ->
+      let c = Conflict.create ~capacity () in
+      List.iter (fun (a, d) -> Conflict.record c ~start_:a ~stop:(a + d)) windows;
+      let n = List.length windows in
+      let reference ~start_ ~stop =
+        List.exists
+          (fun (i, (a, d)) ->
+            if i < n - capacity then start_ < a + d else a < stop && start_ < a + d)
+          (List.mapi (fun i w -> (i, w)) windows)
+      in
+      List.for_all
+        (fun (a, d) ->
+          Conflict.overlaps c ~start_:a ~stop:(a + d) = reference ~start_:a ~stop:(a + d))
+        queries)
+
 (* -- Sched ----------------------------------------------------------------- *)
 
 let test_sched_interleaves_by_time () =
@@ -179,6 +237,107 @@ let test_sched_makespan () =
   Clock.advance b 250;
   check Alcotest.int "makespan" 250 (Sched.makespan [ a; b ])
 
+(* QCheck: a client acts only while its (clock, id) is the earliest.
+   Every client logs (now, id) after each step — zero-length advances,
+   waits, and verb-style four-part charges included — so the log of all
+   clients must be sorted by time, ties by id. *)
+type step = Advance of int | Wait of int | Verb of int * int * int * int
+
+let prop_sched_acts_only_while_earliest =
+  let step =
+    QCheck.Gen.(
+      let d = int_range 0 3 in
+      frequency
+        [
+          (3, map (fun x -> Advance x) d);
+          (1, map (fun x -> Wait x) d);
+          (2, map (fun (a, b, c, e) -> Verb (a, b, c, e)) (quad d d d d));
+        ])
+  in
+  let client = QCheck.Gen.(pair (int_range 0 3) (list_size (int_range 0 25) step)) in
+  let pp_step = function
+    | Advance d -> Printf.sprintf "+%d" d
+    | Wait d -> Printf.sprintf "w%d" d
+    | Verb (a, b, c, e) -> Printf.sprintf "v%d.%d.%d.%d" a b c e
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun cs ->
+        String.concat " | "
+          (List.map
+             (fun (start, steps) ->
+               Printf.sprintf "@%d %s" start (String.concat "," (List.map pp_step steps)))
+             cs))
+      QCheck.Gen.(list_size (int_range 2 6) client)
+  in
+  QCheck.Test.make ~name:"acts only while earliest" ~count:300 arb (fun cs ->
+      let log = ref [] in
+      let clients =
+        List.mapi
+          (fun id (start, steps) ->
+            let clk = Clock.create () in
+            Clock.wait_until clk start;
+            Sched.client ~clock:clk ~run:(fun () ->
+                List.iter
+                  (fun st ->
+                    (match st with
+                    | Advance d -> Clock.advance clk d
+                    | Wait d -> Clock.wait_until clk (Clock.now clk + d)
+                    | Verb (queue, rtt, wire, media) ->
+                        Clock.advance_verb clk ~queue ~rtt ~wire ~media);
+                    log := (Clock.now clk, id) :: !log)
+                  steps))
+          cs
+      in
+      Sched.run clients;
+      let rec sorted = function a :: (b :: _ as rest) -> a <= b && sorted rest | _ -> true in
+      sorted (List.rev !log))
+
+(* Count the suspensions of a client body: every [Clock.Yield] is
+   counted, then re-performed to the scheduler's handler. *)
+let counting_yields count body () =
+  Effect.Deep.match_with body ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Clock.Yield _ ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  incr count;
+                  Effect.perform e;
+                  Effect.Deep.continue k ())
+          | _ -> None);
+    }
+
+(* A client suspends only when another client is due: never when it runs
+   alone or stays ahead, once per step when two clients move in
+   lockstep. *)
+let test_sched_lone_client_never_suspends () =
+  let yields starts =
+    let count = ref 0 in
+    let clients =
+      List.map
+        (fun start ->
+          let clk = Clock.create () in
+          Clock.wait_until clk start;
+          Sched.client ~clock:clk
+            ~run:
+              (counting_yields count (fun () ->
+                   for _ = 1 to 50 do
+                     Clock.advance clk 10
+                   done)))
+        starts
+    in
+    Sched.run clients;
+    !count
+  in
+  check Alcotest.int "lone client" 0 (yields [ 0 ]);
+  check Alcotest.int "other client far ahead" 0 (yields [ 0; 1000 ]);
+  check Alcotest.int "two clients in lockstep" 100 (yields [ 0; 0 ])
+
 let () =
   Alcotest.run "sim"
     [
@@ -197,6 +356,7 @@ let () =
           Alcotest.test_case "advance" `Quick test_clock_advance;
           Alcotest.test_case "wait is idle" `Quick test_clock_wait_idle;
           Alcotest.test_case "utilization" `Quick test_clock_utilization;
+          Alcotest.test_case "verb charges each cause" `Quick test_clock_advance_verb;
         ] );
       ( "timeline",
         [
@@ -211,11 +371,15 @@ let () =
           Alcotest.test_case "overlap detection" `Quick test_conflict_overlap;
           Alcotest.test_case "ring eviction conservative" `Quick
             test_conflict_ring_eviction_conservative;
+          QCheck_alcotest.to_alcotest prop_conflict_matches_scan;
         ] );
       ( "sched",
         [
           Alcotest.test_case "virtual-time interleaving" `Quick test_sched_interleaves_by_time;
           Alcotest.test_case "deadline" `Quick test_sched_deadline;
           Alcotest.test_case "makespan" `Quick test_sched_makespan;
+          QCheck_alcotest.to_alcotest prop_sched_acts_only_while_earliest;
+          Alcotest.test_case "lone client never suspends" `Quick
+            test_sched_lone_client_never_suspends;
         ] );
     ]
